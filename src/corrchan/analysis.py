@@ -84,7 +84,9 @@ class AnalyticEstimates:
     mu_cross: float | None
 
 
-def _minimize(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResult:
+def minimize_entropy(ch: CorrelatedChannel,
+                     cfg: OptimizerConfig) -> MinEntropyResult:
+    """Run the search that cfg.mode selects: minimize_full or minimize_ansatz."""
     if cfg.mode == "full":
         return minimize_full(ch, cfg)
     return minimize_ansatz(ch, cfg)
@@ -105,7 +107,8 @@ def sweep(ch_base: KrausChannel, mu_grid: Sequence[float],
         raise ValueError("mu grid must lie in [0, 1]")
     entries = []
     for mu in grid:
-        res = _minimize(CorrelatedChannel(base=ch_base, mu=float(mu)), cfg)
+        res = minimize_entropy(CorrelatedChannel(base=ch_base, mu=float(mu)),
+                               cfg)
         entries.append(SweepEntry(mu=float(mu),
                                   min_entropy_bits=res.entropy_bits,
                                   entanglement_bits=res.entanglement_bits,
@@ -114,7 +117,7 @@ def sweep(ch_base: KrausChannel, mu_grid: Sequence[float],
                           method=cfg.mode)
 
     def reoptimize(mu: float) -> float:
-        res = _minimize(CorrelatedChannel(base=ch_base, mu=mu), cfg)
+        res = minimize_entropy(CorrelatedChannel(base=ch_base, mu=mu), cfg)
         return res.entanglement_bits
 
     mu_c = detect_transition(partial, ch_base.dim, reoptimize=reoptimize)
@@ -294,39 +297,21 @@ def _validate_column_probs(d: int, p) -> np.ndarray:
 def estimate_mu_c_crossing(d: int, p) -> float | None:
     """Transition estimate: where the two linearized entropies cross.
 
-    Both curves are quadratics in mu; a sign change of their difference is
-    bracketed by a 100-point scan of (0, 1) and then bisected. None when
-    the curves never cross.
+    Their difference g = r_me - r_s is a quadratic in mu, fixed exactly by
+    its values at 0, 1/2 and 1. For valid column probabilities
+    g(0) >= 0 >= g(1) (by Cauchy-Schwarz), so the curves cross inside
+    (0, 1) exactly when g(0) > 0 > g(1), and then at one simple root,
+    returned in closed form. None when the curves never cross.
     """
     p = _validate_column_probs(d, p)
     r_me, r_s = _r_curves(d, p)
-
-    def g(mu: float) -> float:
-        return r_me(mu) - r_s(mu)
-
-    grid = np.linspace(0.0, 1.0, 100)
-    vals = np.array([g(m) for m in grid])
-    bracket = None
-    for i in range(len(grid) - 1):
-        if 0 < i and vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] * vals[i + 1] < 0:
-            bracket = (float(grid[i]), float(grid[i + 1]))
-            break
-    if bracket is None:
+    g0, g_half, g1 = (r_me(mu) - r_s(mu) for mu in (0.0, 0.5, 1.0))
+    if not g0 > 0.0 > g1:
         return None
-    lo, hi = bracket
-    glo = g(lo)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return float(mid)
-        if glo * gm < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return float(0.5 * (lo + hi))
+    a = 2.0 * (g0 - 2.0 * g_half + g1)  # g(mu) = a mu^2 + b mu + g0
+    b = g1 - g0 - a
+    # the root where g falls through zero, in the form free of cancellation
+    return float(2.0 * g0 / (np.sqrt(b * b - 4.0 * a * g0) - b))
 
 
 def analytic_estimates(d: int, p, mu: float) -> AnalyticEstimates:

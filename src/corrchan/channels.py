@@ -176,22 +176,40 @@ def apply_correlated(ch: CorrelatedChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_correlated_pure(ch: CorrelatedChannel, psi: np.ndarray) -> np.ndarray:
-    """E(|psi><psi|) for a pure two-qudit input, via the stacked Kraus table.
+def _apply_pure(ch: CorrelatedChannel, psi: np.ndarray) -> np.ndarray:
+    """Unchecked E(|psi><psi|) for one input (D,) or a stack of inputs (B, D).
 
-    Algebraically identical to apply_correlated on the projector, but a
-    single matrix-vector product per call; this is the optimizer hot path.
+    Returns (D, D) or (B, D, D). Uses the stacked Kraus table, one
+    matrix-vector product per input. When the table is too large to cache
+    (over _MAX_TABLE_ENTRIES, as for a full Pauli channel from d = 8) it
+    falls back to apply_correlated on each projector. This is the only
+    reader of the table.
     """
-    psi = np.asarray(psi, dtype=complex).ravel()
-    big_d = ch.base.dim ** 2
-    if psi.size != big_d:
-        raise ValueError("state dimension does not match channel dimension")
     table = ch._pure_table
     if table is None:
+        if psi.ndim == 2:
+            return np.stack([_apply_pure(ch, v) for v in psi])
         return apply_correlated(ch, np.outer(psi, psi.conj()))
     weights, kflat = table
-    v = (kflat @ psi).reshape(-1, big_d)
-    return (v.T * weights) @ v.conj()
+    big_d = psi.shape[-1]
+    if psi.ndim == 1:
+        v = (kflat @ psi).reshape(-1, big_d)
+        return (v.T * weights) @ v.conj()
+    v = (psi @ kflat.T).reshape(len(psi), -1, big_d)
+    return np.einsum("t,bti,btj->bij", weights, v, v.conj(), optimize=True)
+
+
+def apply_correlated_pure(ch: CorrelatedChannel, psi: np.ndarray) -> np.ndarray:
+    """E(|psi><psi|) for a pure two-qudit input.
+
+    Algebraically identical to apply_correlated on the projector, but a
+    single matrix-vector product per call while the channel's Kraus table
+    fits in memory.
+    """
+    psi = np.asarray(psi, dtype=complex).ravel()
+    if psi.size != ch.base.dim ** 2:
+        raise ValueError("state dimension does not match channel dimension")
+    return _apply_pure(ch, psi)
 
 
 def pauli_operator_set(d: int) -> PauliOperatorSet:

@@ -172,8 +172,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     opt_cfg = cfg.optimizer_config()
     for mu in (0.2, 0.8):
         ch = CorrelatedChannel(base=ch_base, mu=mu)
-        found = (optimize.minimize_full(ch, opt_cfg) if cfg.mode == "full"
-                 else optimize.minimize_ansatz(ch, opt_cfg))
+        found = analysis.minimize_entropy(ch, opt_cfg)
         oracle = optimize.oracle_sample(ch, 20000, cfg.seed + 1)
         gap = abs(found.entropy_bits - oracle.entropy_bits)
         suites.append((f"oracle_vs_optimizer_mu_{mu:g}", gap, 0.02))

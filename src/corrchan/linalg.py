@@ -3,6 +3,12 @@
 Everything here operates on plain numpy arrays: states are 1-D complex
 vectors, operators and density matrices are 2-D complex arrays. All
 entropies are in bits (base-2 logarithms).
+
+Every entropy in the package is summed by _spectral_entropy, under one
+rule for the eigenvalues that rounding pushes to or below zero: they
+contribute nothing, and the entropy is floored at +0.0. The checked edge,
+entropy_of_spectrum, additionally raises on an eigenvalue below
+-TOL.entropy_clamp, which no valid state has.
 """
 
 from __future__ import annotations
@@ -88,21 +94,32 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
+def _spectral_entropy(eigenvalues: np.ndarray):
+    """Unchecked Shannon entropy in bits of one spectrum or a stack of them.
+
+    Sums over the last axis, so a (..., n) stack gives a (...,) result.
+    The package's one rule for eigenvalues that rounding pushes to or
+    below zero: non-positive eigenvalues contribute nothing, and the
+    result is floored at +0.0.
+    """
+    w = np.array(eigenvalues, dtype=float)
+    w[w <= 0.0] = 1.0  # 1 log2 1 = 0
+    # a tiny positive sum (an eigenvalue marginally above 1 from trace
+    # rounding) floors to zero, and 0.0 - (+-0.0) is +0.0, never -0.0
+    return 0.0 - np.minimum((w * np.log2(w)).sum(-1), 0.0)
+
+
 def entropy_of_spectrum(eigenvalues: np.ndarray) -> float:
     """Shannon entropy in bits of a density-matrix spectrum.
 
-    Eigenvalues in [-TOL.entropy_clamp, 0] are clamped to zero; anything
-    more negative indicates an invalid state and raises.
+    Eigenvalues in [-TOL.entropy_clamp, 0] count as zero; anything more
+    negative indicates an invalid state and raises. A pure spectrum gives
+    +0.0.
     """
     w = np.asarray(eigenvalues, dtype=float)
     if w.min(initial=0.0) < -TOL.entropy_clamp:
         raise ValueError("state not positive semidefinite")
-    w = w[w > 0.0]
-    if w.size == 0:
-        return 0.0
-    # an eigenvalue marginally above 1 (trace rounding) would otherwise
-    # contribute a tiny negative term
-    return max(float(-(w * np.log2(w)).sum()), 0.0)
+    return float(_spectral_entropy(w))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

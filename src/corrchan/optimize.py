@@ -9,13 +9,15 @@ Three routes are provided:
 * minimize_ansatz    - the same search restricted to the diagonal band
                        sum_j a_j |j, j>, valid for column-symmetric Pauli
                        channels where the output of such inputs has a
-                       closed form; far cheaper and equivalent on that
-                       subclass.
+                       closed form; it searches 2d real parameters instead
+                       of 2d^2 and is equivalent on that subclass.
 * oracle_sample      - brute-force random sampling, used as an independent
                        upper-bound witness to validate the optimizers.
 
-The objective has eigenvalue-crossing kinks, so a simplex method is used
-rather than anything gradient-based.
+All three evaluate the output entropy through the same unchecked kernels
+(channels._apply_pure and linalg._spectral_entropy); the two searches
+share one multistart driver. The objective has eigenvalue-crossing kinks,
+so a simplex method is used rather than anything gradient-based.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .channels import (CorrelatedChannel, apply_correlated_pure,
+from .channels import (CorrelatedChannel, _apply_pure, apply_correlated_pure,
                        joint_invariant_state, pauli_column_probs)
-from .linalg import entropy_of_spectrum
+from .linalg import _spectral_entropy, entropy_of_spectrum
 from .states import (SymmetricAnsatz, ansatz_state, basis_separable,
                      entanglement_of, from_params, max_entangled, params_of)
 
@@ -93,19 +95,15 @@ def _ansatz_parts(column_probs: np.ndarray,
 
         diag[u, v]  = d^2 * sum_i |a_i|^2 p[u - i] p[v - i]
 
-    (all indices mod d).
+    (all indices mod d). With the circulants A[x, m] = a[x - m] and
+    Q[u, i] = d p[u - i] both are single products: block = (A * d p) A^dag
+    and diag = (Q * |a|^2) Q^T.
     """
-    p = np.asarray(column_probs, dtype=float)
     a = np.asarray(a, dtype=complex)
-    d = a.size
-    q = d * p
-    block = np.zeros((d, d), dtype=complex)
-    diag = np.zeros((d, d))
-    for m in range(d):
-        am = np.roll(a, m)
-        block += q[m] * np.outer(am, am.conj())
-        diag += (np.abs(a[m]) ** 2) * np.outer(np.roll(q, m), np.roll(q, m))
-    return block, diag
+    q = a.size * np.asarray(column_probs, dtype=float)
+    shift = np.subtract.outer(np.arange(a.size), np.arange(a.size)) % a.size
+    amat, qmat = a[shift], q[shift]
+    return (amat * q) @ amat.conj().T, (qmat * np.abs(a) ** 2) @ qmat.T
 
 
 def ansatz_output_matrix(column_probs: np.ndarray, mu: float,
@@ -138,23 +136,32 @@ def _ansatz_spectrum(column_probs: np.ndarray, mu: float,
     return np.concatenate([np.linalg.eigvalsh(band), off])
 
 
-def _pick_best(candidates: list[tuple[float, np.ndarray, float, bool]],
-               ftol: float) -> tuple[float, np.ndarray, float, bool]:
-    """Lowest entropy wins; ties within ftol go to the lower entanglement.
+def _multistart(func: Callable[[np.ndarray], float], starts: list[np.ndarray],
+                decode: Callable[[np.ndarray], np.ndarray], d: int,
+                cfg: OptimizerConfig) -> MinEntropyResult:
+    """One simplex descent from each start; the best end point wins.
 
-    The tie-break biases reporting toward the separable description when
-    two basins are numerically degenerate.
+    decode maps the parameters of an end point to its two-qudit state.
+    Lowest entropy wins; ties within ftol go to the lower entanglement,
+    which biases reporting toward the separable description when two
+    basins are numerically degenerate.
     """
+    candidates = []
+    iterations = 0
+    for x0 in starts:
+        res = _scipy_minimize(func, x0, method="Nelder-Mead",
+                              options={"xatol": cfg.xtol, "fatol": cfg.ftol,
+                                       "maxiter": cfg.max_iters})
+        iterations += int(res.nit)
+        psi = decode(res.x)
+        candidates.append((float(res.fun), psi, entanglement_of(psi, d),
+                           bool(res.success)))
     best_entropy = min(c[0] for c in candidates)
-    near = [c for c in candidates if c[0] <= best_entropy + ftol]
-    return min(near, key=lambda c: (c[2], c[0]))
-
-
-def _simplex_descent(func: Callable[[np.ndarray], float], x0: np.ndarray,
-                     cfg: OptimizerConfig):
-    return _scipy_minimize(func, x0, method="Nelder-Mead",
-                           options={"xatol": cfg.xtol, "fatol": cfg.ftol,
-                                    "maxiter": cfg.max_iters})
+    near = [c for c in candidates if c[0] <= best_entropy + cfg.ftol]
+    entropy, psi, ent, converged = min(near, key=lambda c: (c[2], c[0]))
+    return MinEntropyResult(entropy_bits=entropy, state=psi,
+                            entanglement_bits=ent,
+                            iterations_used=iterations, converged=converged)
 
 
 def minimize_full(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResult:
@@ -173,24 +180,15 @@ def minimize_full(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResu
         raise ValueError("minimize_full requires mode='full'")
     d = ch.base.dim
     big_d = d * d
-    table = ch._pure_table
 
-    if table is None:
-        def func(x: np.ndarray) -> float:
-            return objective(ch, from_params(x, big_d))
-    else:
-        weights, kflat = table
-
-        def func(x: np.ndarray) -> float:
-            amps = x[0::2] + 1j * x[1::2]
-            nrm = np.linalg.norm(amps)
-            if nrm < 1e-12:
-                return float(2 * np.log2(d)) + 1.0
-            v = (kflat @ (amps / nrm)).reshape(-1, big_d)
-            rho = (v.T * weights) @ v.conj()
-            lam = np.linalg.eigvalsh(rho)
-            lam = lam[lam > 0.0]
-            return float(-(lam * np.log2(lam)).sum())
+    def func(x: np.ndarray) -> float:
+        # interleaved re/im parameters share complex128's memory layout
+        amps = np.ascontiguousarray(x, dtype=float).view(complex)
+        nrm = np.linalg.norm(amps)
+        if nrm < 1e-12:
+            return float(2 * np.log2(d)) + 1.0
+        rho = _apply_pure(ch, amps / nrm)
+        return float(_spectral_entropy(np.linalg.eigvalsh(rho)))
 
     rng = np.random.default_rng(cfg.seed)
     starts = [params_of(max_entangled(d)), params_of(basis_separable(d, 0, 0))]
@@ -200,19 +198,7 @@ def minimize_full(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResu
     if witness is not None:
         starts.append(params_of(np.kron(witness, witness.conj())))
     starts += [rng.standard_normal(2 * big_d) for _ in range(cfg.resolved_restarts())]
-
-    candidates = []
-    iterations = 0
-    for x0 in starts:
-        res = _simplex_descent(func, x0, cfg)
-        iterations += int(res.nit)
-        psi = from_params(res.x, big_d)
-        candidates.append((float(res.fun), psi, entanglement_of(psi, d),
-                           bool(res.success)))
-    entropy, psi, ent, converged = _pick_best(candidates, cfg.ftol)
-    return MinEntropyResult(entropy_bits=entropy, state=psi,
-                            entanglement_bits=ent,
-                            iterations_used=iterations, converged=converged)
+    return _multistart(func, starts, lambda x: from_params(x, big_d), d, cfg)
 
 
 def minimize_ansatz(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResult:
@@ -229,45 +215,24 @@ def minimize_ansatz(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyRe
     real_only = cfg.mode == "real_ansatz"
 
     def func(x: np.ndarray) -> float:
-        a = x if real_only else x[0::2] + 1j * x[1::2]
+        a = x if real_only else np.ascontiguousarray(x, dtype=float).view(complex)
         nrm = np.linalg.norm(a)
         if nrm < 1e-12:
             return float(2 * np.log2(d)) + 1.0
-        return entropy_of_spectrum(_ansatz_spectrum(p, mu, a / nrm))
+        return float(_spectral_entropy(_ansatz_spectrum(p, mu, a / nrm)))
 
-    n_params = d if real_only else 2 * d
+    def decode(x: np.ndarray) -> np.ndarray:
+        a = from_params(params_of(x) if real_only else x, d)
+        return ansatz_state(SymmetricAnsatz(d=d, k=0, a=a))
 
-    def coeffs_of(x: np.ndarray) -> np.ndarray:
-        a = x.astype(complex) if real_only else x[0::2] + 1j * x[1::2]
-        a = a / np.linalg.norm(a)
-        lead = a[int(np.argmax(np.abs(a)))]
-        return a * (lead.conjugate() / abs(lead))
-
-    def encode(a: np.ndarray) -> np.ndarray:
-        if real_only:
-            return a.real.copy()
-        return params_of(a)
-
-    uniform = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
-    e0 = np.zeros(d, dtype=complex)
+    uniform = np.full(d, 1.0 / np.sqrt(d))
+    e0 = np.zeros(d)
     e0[0] = 1.0
     rng = np.random.default_rng(cfg.seed)
-    starts = [encode(uniform), encode(e0)]
+    starts = [a if real_only else params_of(a) for a in (uniform, e0)]
+    n_params = d if real_only else 2 * d
     starts += [rng.standard_normal(n_params) for _ in range(cfg.resolved_restarts())]
-
-    candidates = []
-    iterations = 0
-    for x0 in starts:
-        res = _simplex_descent(func, x0, cfg)
-        iterations += int(res.nit)
-        a = coeffs_of(res.x)
-        psi = ansatz_state(SymmetricAnsatz(d=d, k=0, a=a))
-        candidates.append((float(res.fun), psi, entanglement_of(psi, d),
-                           bool(res.success)))
-    entropy, psi, ent, converged = _pick_best(candidates, cfg.ftol)
-    return MinEntropyResult(entropy_bits=entropy, state=psi,
-                            entanglement_bits=ent,
-                            iterations_used=iterations, converged=converged)
+    return _multistart(func, starts, decode, d, cfg)
 
 
 def oracle_sample(ch: CorrelatedChannel, n_samples: int,
@@ -286,20 +251,8 @@ def oracle_sample(ch: CorrelatedChannel, n_samples: int,
     seeds = [max_entangled(d)]
     seeds += [basis_separable(d, i, j) for i in range(d) for j in range(d)]
 
-    best_entropy = np.inf
-    best_state = None
-    table = ch._pure_table
-
     def eval_batch(batch: np.ndarray) -> np.ndarray:
-        if table is None:
-            return np.array([objective(ch, v) for v in batch])
-        weights, kflat = table
-        v = (batch @ kflat.T).reshape(len(batch), -1, big_d)
-        rho = np.einsum("t,bti,btj->bij", weights, v, v.conj(), optimize=True)
-        lam = np.linalg.eigvalsh(rho)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(lam > 0.0, -lam * np.log2(np.abs(lam)), 0.0)
-        return terms.sum(axis=1)
+        return _spectral_entropy(np.linalg.eigvalsh(_apply_pure(ch, batch)))
 
     batch = np.stack(seeds)
     ent = eval_batch(batch)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, symmetric_column_probs
 from corrchan import (CorrelatedChannel, KrausChannel, OptimizerConfig,
                       analytic_estimates, apply_correlated, check_theorem,
                       detect_transition, estimate_mu_c_crossing, fidelity_pure,
@@ -170,31 +171,49 @@ class TestAnalyticEstimates:
             analytic_estimates(3, np.array([0.08, 0.18, 0.0733]), 0.5)
 
 
+def linearized_gap_roots(d, p):
+    """Real roots in (0, 1) of R_me - R_s, by numpy.roots on its monomial
+    coefficients: an independent route to the crossing, since both curves
+    are quadratics in mu."""
+    c = np.array([[np.dot(np.roll(p, -m), np.roll(p, -n))
+                   for n in range(d)] for m in range(d)])
+    c00 = c[0, 0]
+    # bracket coefficients of R_me - R_s as a polynomial in mu
+    a_me, b_me, c_me = d**2 * (c**2).sum(), 1.0, 2 * d * c00
+    a_s, b_s, c_s = d**4 * c00**2, d**2 * c00, 2 * d**3 * (p**3).sum()
+    # difference g(mu) = (R_me - R_s)(mu) expanded in the monomial basis
+    quad = np.array([
+        -(a_me - a_s),
+        2 * (a_me - a_s) - (c_me - c_s),
+        -(a_me - a_s) - (b_me - b_s) + (c_me - c_s),
+    ])  # [const, mu, mu^2] of -(g)
+    roots = np.roots(quad[::-1])
+    return sorted(r.real for r in roots
+                  if abs(r.imag) < 1e-12 and 0 < r.real < 1)
+
+
 class TestCrossingEstimate:
     def test_bundled_parameters(self):
-        # independent route: both curves are quadratics in mu, so the
-        # crossing is a polynomial root
-        p = QUTRIT_COLS
-        d = 3
-        c = np.array([[np.dot(np.roll(p, -m), np.roll(p, -n))
-                       for n in range(d)] for m in range(d)])
-        c00 = c[0, 0]
-        me_quad = np.polynomial.polynomial.polyfromroots([])  # placeholder
-        # bracket coefficients of R_me - R_s as a polynomial in mu
-        a_me, b_me, c_me = d**2 * (c**2).sum(), 1.0, 2 * d * c00
-        a_s, b_s, c_s = d**4 * c00**2, d**2 * c00, 2 * d**3 * (p**3).sum()
-        # difference g(mu) = (R_me - R_s)(mu) expanded in the monomial basis
-        quad = np.array([
-            -(a_me - a_s),
-            2 * (a_me - a_s) - (c_me - c_s),
-            -(a_me - a_s) - (b_me - b_s) + (c_me - c_s),
-        ])  # [const, mu, mu^2] of -(g)
-        roots = np.roots(quad[::-1])
-        real = [r.real for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < 1]
+        real = linearized_gap_roots(3, QUTRIT_COLS)
         assert len(real) == 1
-        got = estimate_mu_c_crossing(3, p)
+        got = estimate_mu_c_crossing(3, QUTRIT_COLS)
         assert got is not None
         assert abs(got - real[0]) < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_column_probs())
+    def test_matches_polynomial_root(self, drawn):
+        d, p = drawn
+        real = linearized_gap_roots(d, p)
+        # whether a root within rounding of an end point lies inside (0, 1)
+        # is not decidable from floating-point coefficients
+        assume(all(1e-6 < r < 1 - 1e-6 for r in real))
+        got = estimate_mu_c_crossing(d, p)
+        if not real:
+            assert got is None
+        else:
+            assert len(real) == 1
+            assert got is not None and abs(got - real[0]) < 1e-9
 
     def test_uniform_channel_has_no_crossing(self):
         # p_m = 1/d^2: the difference reduces to -(2/3) mu^2, never crossing

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, symmetric_column_probs
 from corrchan import (CorrelatedChannel, KrausChannel, apply_correlated,
                       apply_correlated_pure, apply_phi, apply_phi_c,
                       apply_phi_star, haar_random_unitary,
                       pauli_channel, pauli_column_probs,
                       pauli_identity_residuals, pauli_operator_set,
-                      qubit_ixz_channel, symmetric_pauli_channel, tensor,
-                      von_neumann_entropy)
+                      entropy_of_spectrum, qubit_ixz_channel,
+                      symmetric_pauli_channel, tensor, von_neumann_entropy)
+from corrchan import channels
+from corrchan.channels import _apply_pure
+from corrchan.linalg import _spectral_entropy
 from corrchan.states import max_entangled, random_pure_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,6 +188,58 @@ class TestApplyCorrelated:
         fast = apply_correlated_pure(ch, psi)
         slow = apply_correlated(ch, np.outer(psi, psi.conj()))
         assert np.abs(fast - slow).max() < 1e-12
+
+
+@st.composite
+def pauli_channels_and_states(draw):
+    """A random symmetric Pauli channel at a random mu, and a stack of inputs.
+
+    The stack starts with the maximally entangled state, whose output is
+    pure at mu = 1, so zero eigenvalues are exercised too.
+    """
+    d, p = draw(symmetric_column_probs())
+    mu = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    states = [max_entangled(d)]
+    states += [random_pure_state(d * d, rng)
+               for _ in range(draw(st.integers(0, 3)))]
+    return (CorrelatedChannel(base=symmetric_pauli_channel(d, p), mu=mu),
+            np.stack(states))
+
+
+class TestPureKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(pauli_channels_and_states())
+    def test_stacked_matches_single_and_dense(self, drawn):
+        ch, states = drawn
+        stacked = _apply_pure(ch, states)
+        assert stacked.shape == (len(states),) + (states.shape[1],) * 2
+        for psi, rho in zip(states, stacked):
+            dense = apply_correlated(ch, np.outer(psi, psi.conj()))
+            assert np.abs(rho - apply_correlated_pure(ch, psi)).max() < 1e-12
+            assert np.abs(rho - dense).max() < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(pauli_channels_and_states())
+    def test_stacked_entropy_matches_rows(self, drawn):
+        ch, states = drawn
+        spectra = np.linalg.eigvalsh(_apply_pure(ch, states))
+        stacked = _spectral_entropy(spectra)
+        assert stacked.shape == (len(states),)
+        for row, value in zip(spectra, stacked):
+            assert abs(value - entropy_of_spectrum(row)) < 1e-12
+
+    def test_table_fallback_matches_table(self, rng, monkeypatch):
+        base = symmetric_pauli_channel(3, QUTRIT_COLS)
+        states = np.stack([random_pure_state(9, rng) for _ in range(3)])
+        with_table = CorrelatedChannel(base=base, mu=0.4)
+        single = apply_correlated_pure(with_table, states[0])
+        stacked = _apply_pure(with_table, states)
+        monkeypatch.setattr(channels, "_MAX_TABLE_ENTRIES", 0)
+        without = CorrelatedChannel(base=base, mu=0.4)
+        assert without._pure_table is None
+        assert np.abs(apply_correlated_pure(without, states[0]) - single).max() < 1e-12
+        assert np.abs(_apply_pure(without, states) - stacked).max() < 1e-12
 
 
 class TestPauliOperators:

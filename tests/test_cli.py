@@ -163,6 +163,18 @@ class TestSweepCommand:
         assert len(csv.strip().splitlines()) == 5
         capsys.readouterr()
 
+    def test_pure_output_prints_positive_zero(self, tmp_path, capsys):
+        # at mu = 1 the maximally entangled input has a pure output
+        path = write_cfg(tmp_path, dim=3, channel="pauli_symmetric",
+                         probs="0.08,0.18,0.0733", mode="ansatz",
+                         mu_start=0.9, mu_points=2, restarts=1,
+                         outputs="csv")
+        assert main(["sweep", "--config", str(path)]) == 0
+        capsys.readouterr()
+        csv = (tmp_path / "out" / "sweep.csv").read_text(encoding="utf-8")
+        mu, s_min = csv.splitlines()[-1].split(",")[:2]
+        assert (mu, s_min) == ("1", "0")
+
 
 class TestEstimateCommand:
     def test_bundled_parameters(self, tmp_path, capsys):

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_density_matrix, random_hermitian
-from corrchan import (check_density_matrix, eig_hermitian, fidelity_pure,
-                      haar_random_unitary, linear_entropy, partial_trace,
-                      tensor, von_neumann_entropy)
+from corrchan import (check_density_matrix, eig_hermitian,
+                      entropy_of_spectrum, fidelity_pure, haar_random_unitary,
+                      linear_entropy, partial_trace, tensor,
+                      von_neumann_entropy)
 from corrchan.states import max_entangled, random_pure_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -131,6 +134,10 @@ class TestVonNeumannEntropy:
     def test_clamps_tiny_negative_eigenvalues(self):
         rho = np.diag([1.0 + 5e-11, -5e-11])
         assert von_neumann_entropy(rho) == 0.0
+
+    def test_pure_spectrum_is_positive_zero(self):
+        assert math.copysign(1.0, entropy_of_spectrum([1, 0, 0])) == 1.0
+        assert math.copysign(1.0, von_neumann_entropy(np.diag([0.0, 1.0]))) == 1.0
 
     def test_rejects_negative_state(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
