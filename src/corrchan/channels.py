@@ -15,6 +15,15 @@ mu in [0, 1]:
 
 The generalized (shift-and-phase) Pauli operators and the channels built
 from them are provided as presets.
+
+Every preset's U_a is, up to a phase, a Weyl word W_mn |k> = xi^(k n)
+|k + m>, which makes E a Pauli channel on the pair: with Q its two-qudit
+word distribution Fourier-transformed over the phase index (indices mod d),
+
+    E(rho)[j, j - delta] = sum_m Q[m, delta] rho[j - m, j - m - delta],
+
+one D x D circulant block per offset delta, O(D^3) per input (D = d^2).
+_apply_weyl applies every such channel; any other takes the einsums.
 """
 
 from __future__ import annotations
@@ -25,10 +34,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import TOL, dagger
-
-# Stacked two-qudit Kraus tables are cached only up to this many complex
-# entries; beyond it the factored (memory-light) application is used.
-_MAX_TABLE_ENTRIES = 16_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +70,21 @@ class KrausChannel:
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "probs", probs)
 
+    @cached_property
+    def _weyl_words(self) -> np.ndarray | None:
+        """Flat word m * d + n of each operator, or None unless every one is
+        a global phase times some W_mn (sigma_y is i W_11); the phase
+        cancels in U rho U^dag.
+        """
+        d = self.dim
+        weyl = pauli_operator_set(d).ops.reshape(d * d, d, d)
+        overlap = np.einsum("wij,aij->aw", weyl.conj(), self.ops) / d
+        words = np.abs(overlap).argmax(axis=1)
+        phases = overlap[np.arange(len(words)), words][:, None, None]
+        if np.abs(self.ops - phases * weyl[words]).max() > 1e-12:
+            return None
+        return words
+
 
 @dataclass(frozen=True, eq=False)
 class PauliOperatorSet:
@@ -94,31 +114,28 @@ class CorrelatedChannel:
         object.__setattr__(self, "mu", mu)
 
     @cached_property
-    def _pure_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Stacked weighted Kraus terms of the two-qudit channel.
+    def _weyl_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(perm, inv, blocks) for _apply_weyl, or None for a non-Weyl base.
 
-        Returns (weights, kflat) where kflat has shape (T * D, D) so one
-        matrix-vector product yields all T transformed vectors of a pure
-        input. None when the table would be too large to cache.
+        rho.ravel()[perm] lists the offset-diagonals rho[i, i - delta] as
+        rows delta, inv undoes perm, and blocks[delta, j, i] = Q[j - i, delta]
+        (see the module docstring).
         """
-        ops, probs, mu = self.base.ops, self.base.probs, self.mu
-        n, d = len(ops), self.base.dim
-        big_d = d * d
-        if (n * n + n) * big_d * big_d > _MAX_TABLE_ENTRIES:
+        words = self.base._weyl_words
+        if words is None:
             return None
-        terms = np.empty((n * n + n, big_d, big_d), dtype=complex)
-        weights = np.empty(n * n + n)
-        t = 0
-        for a in range(n):
-            for b in range(n):
-                terms[t] = np.kron(ops[a], ops[b].conj())
-                weights[t] = (1.0 - mu) * probs[a] * probs[b]
-                t += 1
-        for a in range(n):
-            terms[t] = np.kron(ops[a], ops[a].conj())
-            weights[t] = mu * probs[a]
-            t += 1
-        return weights, terms.reshape(-1, big_d)
+        d, mu = self.base.dim, self.mu
+        p = np.bincount(words, self.base.probs, d * d).reshape(d, d)
+        ph = d * np.fft.ifft(p, axis=1)  # sum_n p[m, n] xi^(delta n)
+        # product part: U_a x conj(U_b), and conj(W_mn) = W_m,-n
+        q = (1.0 - mu) * np.einsum("ax,by->abxy", ph, ph.conj())
+        k = np.arange(d)
+        q[k, k] += mu * ph[:, (k[:, None] - k) % d]  # correlated part
+        k1, k2 = np.divmod(np.arange(d * d), d)
+        sub = (k1[:, None] - k1) % d * d + (k2[:, None] - k2) % d  # a - b
+        perm = (np.arange(d * d) * d * d + sub.T).ravel()
+        blocks = np.moveaxis(q.reshape(d * d, d * d)[sub], 2, 0)
+        return perm, np.argsort(perm), np.ascontiguousarray(blocks)
 
 
 def _check_dim(expected: int, rho: np.ndarray) -> np.ndarray:
@@ -168,43 +185,43 @@ def apply_correlated(ch: CorrelatedChannel, rho: np.ndarray) -> np.ndarray:
     """Two-qudit correlated channel E = (1 - mu)(phi x phi_star) + mu phi_c."""
     d = ch.base.dim
     rho = _check_dim(d * d, rho)
-    if ch.mu == 1.0:
-        return apply_phi_c(ch.base, rho)
-    out = (1.0 - ch.mu) * _apply_product(ch.base, rho)
-    if ch.mu > 0.0:
-        out += ch.mu * apply_phi_c(ch.base, rho)
-    return out
+    if ch._weyl_blocks is not None:
+        return _apply_weyl(ch, rho)
+    return ((1.0 - ch.mu) * _apply_product(ch.base, rho)
+            + ch.mu * apply_phi_c(ch.base, rho))
+
+
+def _apply_weyl(ch: CorrelatedChannel, rho: np.ndarray) -> np.ndarray:
+    """Unchecked E(rho) for a Weyl-word channel on (D, D) or (B, D, D) input.
+
+    Gathers the D offset-diagonals of each input into one column, applies
+    the circulant block of each offset in one batched product, and
+    scatters back.
+    """
+    perm, inv, blocks = ch._weyl_blocks
+    big_d = rho.shape[-1]
+    diags = rho.reshape(-1, perm.size).T.take(perm, axis=0)
+    out = np.matmul(blocks, diags.reshape(big_d, big_d, -1))
+    return out.reshape(perm.size, -1).take(inv, axis=0).T.reshape(rho.shape)
 
 
 def _apply_pure(ch: CorrelatedChannel, psi: np.ndarray) -> np.ndarray:
     """Unchecked E(|psi><psi|) for one input (D,) or a stack of inputs (B, D).
 
-    Returns (D, D) or (B, D, D). Uses the stacked Kraus table, one
-    matrix-vector product per input. When the table is too large to cache
-    (over _MAX_TABLE_ENTRIES, as for a full Pauli channel from d = 8) it
-    falls back to apply_correlated on each projector. This is the only
-    reader of the table.
+    Returns (D, D) or (B, D, D), through _apply_weyl; a channel with a
+    non-Weyl operator takes apply_correlated one projector at a time.
     """
-    table = ch._pure_table
-    if table is None:
-        if psi.ndim == 2:
-            return np.stack([_apply_pure(ch, v) for v in psi])
-        return apply_correlated(ch, np.outer(psi, psi.conj()))
-    weights, kflat = table
-    big_d = psi.shape[-1]
-    if psi.ndim == 1:
-        v = (kflat @ psi).reshape(-1, big_d)
-        return (v.T * weights) @ v.conj()
-    v = (psi @ kflat.T).reshape(len(psi), -1, big_d)
-    return np.einsum("t,bti,btj->bij", weights, v, v.conj(), optimize=True)
+    rho = psi[..., :, None] * psi[..., None, :].conj()
+    if ch._weyl_blocks is not None:
+        return _apply_weyl(ch, rho)
+    flat = [apply_correlated(ch, r) for r in rho.reshape(-1, *rho.shape[-2:])]
+    return np.stack(flat).reshape(rho.shape)
 
 
 def apply_correlated_pure(ch: CorrelatedChannel, psi: np.ndarray) -> np.ndarray:
     """E(|psi><psi|) for a pure two-qudit input.
 
-    Algebraically identical to apply_correlated on the projector, but a
-    single matrix-vector product per call while the channel's Kraus table
-    fits in memory.
+    Algebraically identical to apply_correlated on the projector.
     """
     psi = np.asarray(psi, dtype=complex).ravel()
     if psi.size != ch.base.dim ** 2:

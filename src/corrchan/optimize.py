@@ -15,7 +15,8 @@ Three routes are provided:
                        upper-bound witness to validate the optimizers.
 
 All three evaluate the output entropy through the same unchecked kernels
-(channels._apply_pure and linalg._spectral_entropy); the two searches
+(channels._apply_pure, which applies every Pauli-type channel through the
+one Weyl-basis kernel, and linalg._spectral_entropy); the two searches
 share one multistart driver. The objective has eigenvalue-crossing kinks,
 so a simplex method is used rather than anything gradient-based.
 """

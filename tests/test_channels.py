@@ -11,7 +11,6 @@ from corrchan import (CorrelatedChannel, KrausChannel, apply_correlated,
                       pauli_identity_residuals, pauli_operator_set,
                       entropy_of_spectrum, qubit_ixz_channel,
                       symmetric_pauli_channel, tensor, von_neumann_entropy)
-from corrchan import channels
 from corrchan.channels import _apply_pure
 from corrchan.linalg import _spectral_entropy
 from corrchan.states import max_entangled, random_pure_state
@@ -229,17 +228,69 @@ class TestPureKernel:
         for row, value in zip(spectra, stacked):
             assert abs(value - entropy_of_spectrum(row)) < 1e-12
 
-    def test_table_fallback_matches_table(self, rng, monkeypatch):
-        base = symmetric_pauli_channel(3, QUTRIT_COLS)
+
+@st.composite
+def weyl_channels_and_inputs(draw):
+    """A Pauli channel given as raw operators, at a random mu, and inputs.
+
+    d is 2 to 5. The words come in drawn order and may repeat; each
+    operator carries a random global phase, except that at d = 2 the word
+    (1, 1) is given as the raw matrix SY. The inputs are one dense density
+    matrix and a stack of pure states led by the maximally entangled one.
+    """
+    d = draw(st.integers(2, 5))
+    words = draw(st.lists(st.integers(0, d * d - 1), min_size=1, max_size=7))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(words),
+                                     max_size=len(words))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = pauli_operator_set(d).ops.reshape(d * d, d, d)[words]
+    ops = ops * np.exp(2j * np.pi * rng.uniform(size=len(words)))[:, None, None]
+    if d == 2:
+        ops[np.array(words) == 3] = SY
+    base = KrausChannel(dim=d, ops=ops, probs=weights / weights.sum())
+    ch = CorrelatedChannel(base=base, mu=draw(st.floats(0.0, 1.0)))
+    states = [max_entangled(d)] + [random_pure_state(d * d, rng) for _ in range(2)]
+    return ch, random_density_matrix(d * d, rng), np.stack(states)
+
+
+def assert_matches_kraus_sum(ch, rho, states):
+    """Dense, single pure and stacked pure outputs against the Kraus sum."""
+    out = apply_correlated(ch, rho)
+    assert np.abs(out - brute_force_correlated(ch, rho)).max() < 1e-12
+    assert np.abs(out - out.conj().T).max() < 1e-12
+    assert abs(np.trace(out) - 1.0) < 1e-12
+    stacked = _apply_pure(ch, states)
+    for psi, got in zip(states, stacked):
+        want = brute_force_correlated(ch, np.outer(psi, psi.conj()))
+        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(apply_correlated_pure(ch, psi) - want).max() < 1e-12
+
+
+class TestWeylKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(weyl_channels_and_inputs())
+    def test_matches_kraus_sum(self, drawn):
+        ch, rho, states = drawn
+        assert ch._weyl_blocks is not None
+        assert_matches_kraus_sum(ch, rho, states)
+
+    def test_haar_channel_takes_general_path(self, rng):
+        ops = np.stack([np.eye(3), haar_random_unitary(3, rng),
+                        haar_random_unitary(3, rng)])
+        ch = CorrelatedChannel(base=KrausChannel(dim=3, ops=ops,
+                                                 probs=[0.5, 0.3, 0.2]), mu=0.35)
+        assert ch.base._weyl_words is None and ch._weyl_blocks is None
         states = np.stack([random_pure_state(9, rng) for _ in range(3)])
-        with_table = CorrelatedChannel(base=base, mu=0.4)
-        single = apply_correlated_pure(with_table, states[0])
-        stacked = _apply_pure(with_table, states)
-        monkeypatch.setattr(channels, "_MAX_TABLE_ENTRIES", 0)
-        without = CorrelatedChannel(base=base, mu=0.4)
-        assert without._pure_table is None
-        assert np.abs(apply_correlated_pure(without, states[0]) - single).max() < 1e-12
-        assert np.abs(_apply_pure(without, states) - stacked).max() < 1e-12
+        assert_matches_kraus_sum(ch, random_density_matrix(9, rng), states)
+
+    def test_three_words_at_d8(self, rng):
+        weyl = pauli_operator_set(8).ops
+        ops = np.stack([weyl[0, 0], weyl[1, 3], weyl[5, 2]])
+        ch = CorrelatedChannel(base=KrausChannel(dim=8, ops=ops,
+                                                 probs=[0.6, 0.3, 0.1]), mu=0.45)
+        states = np.stack([max_entangled(8)] + [random_pure_state(64, rng)
+                                                for _ in range(2)])
+        assert_matches_kraus_sum(ch, random_density_matrix(64, rng), states)
 
 
 class TestPauliOperators:
