@@ -114,6 +114,14 @@ class CorrelatedChannel:
         object.__setattr__(self, "mu", mu)
 
     @cached_property
+    def adjoint(self) -> CorrelatedChannel:
+        """E^dag: every U_a replaced by U_a^dag. W_mn^dag is a phase times
+        W_-m,-n, so a Weyl-word channel's adjoint takes _apply_weyl too."""
+        b = self.base
+        return CorrelatedChannel(base=KrausChannel(
+            dim=b.dim, ops=b.ops.conj().swapaxes(1, 2), probs=b.probs), mu=self.mu)
+
+    @cached_property
     def _weyl_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(perm, inv, blocks) for _apply_weyl, or None for a non-Weyl base.
 
@@ -276,17 +284,14 @@ def symmetric_pauli_channel(d: int, column_probs) -> KrausChannel:
 def pauli_column_probs(ch: KrausChannel) -> np.ndarray:
     """Extract p_m from a column-symmetric Pauli channel.
 
-    Raises unless the channel's operators are the canonical shift-and-phase
-    set in row-major order and the probabilities depend only on the shift
-    index m.
+    Raises unless the channel's operators are, in any order and with any
+    global phases, Weyl words covering all d^2 words, and the word
+    probabilities p[m, n] depend only on the shift index m.
     """
     d = ch.dim
-    if len(ch.ops) != d * d:
+    if ch._weyl_words is None or np.unique(ch._weyl_words).size != d * d:
         raise ValueError("channel is not a generalized Pauli channel")
-    canonical = pauli_operator_set(d).ops.reshape(d * d, d, d)
-    if np.abs(ch.ops - canonical).max() > 1e-12:
-        raise ValueError("channel is not a generalized Pauli channel")
-    p = ch.probs.reshape(d, d)
+    p = np.bincount(ch._weyl_words, ch.probs, d * d).reshape(d, d)
     if np.abs(p - p[:, :1]).max() > 1e-12:
         raise ValueError("channel not column-symmetric")
     return p[:, 0].copy()

@@ -34,7 +34,6 @@ class ExperimentConfig:
     mode: str = "full"
     restarts: int | None = None
     max_iters: int = 5000
-    xtol: float = 1e-9
     ftol: float = 1e-12
     seed: int = 42
     outputs: set[str] = field(default_factory=lambda: {"csv", "svg"})
@@ -69,8 +68,7 @@ class ExperimentConfig:
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(restarts=self.restarts, max_iters=self.max_iters,
-                               xtol=self.xtol, ftol=self.ftol, seed=self.seed,
-                               mode=self.mode)
+                               ftol=self.ftol, seed=self.seed, mode=self.mode)
 
 
 def _parse_value(cfg: ExperimentConfig, key: str, raw: str) -> None:
@@ -93,8 +91,6 @@ def _parse_value(cfg: ExperimentConfig, key: str, raw: str) -> None:
             cfg.restarts = int(raw)
         elif key == "max_iters":
             cfg.max_iters = int(raw)
-        elif key == "xtol":
-            cfg.xtol = float(raw)
         elif key == "ftol":
             cfg.ftol = float(raw)
         elif key == "seed":

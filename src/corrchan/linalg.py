@@ -4,9 +4,9 @@ Everything here operates on plain numpy arrays: states are 1-D complex
 vectors, operators and density matrices are 2-D complex arrays. All
 entropies are in bits (base-2 logarithms).
 
-Every entropy in the package is summed by _spectral_entropy, under one
-rule for the eigenvalues that rounding pushes to or below zero: they
-contribute nothing, and the entropy is floored at +0.0. The checked edge,
+Every entropy in the package is summed by _spectral_entropy, and every
+entropy gradient weighted by _entropy_weights, under one rule: eigenvalues
+at or below TOL.spectral_floor count as zero. The checked edge,
 entropy_of_spectrum, additionally raises on an eigenvalue below
 -TOL.entropy_clamp, which no valid state has.
 """
@@ -24,6 +24,7 @@ class Tolerances(NamedTuple):
     hermiticity: float = 1e-10     # density-matrix Hermiticity defect
     trace: float = 1e-10           # unit-trace defect
     entropy_clamp: float = 1e-10   # eigenvalues in [-clamp, 0] are treated as 0
+    spectral_floor: float = 1e-14  # eigenvalues at or below count as zero
     eig_residual: float = 1e-9     # eigendecomposition residual, relative to max|A|
     eig_input: float = 1e-8        # Hermiticity required of eig_hermitian input
     unitarity: float = 1e-9        # Kraus-operator unitarity defect
@@ -98,15 +99,26 @@ def _spectral_entropy(eigenvalues: np.ndarray):
     """Unchecked Shannon entropy in bits of one spectrum or a stack of them.
 
     Sums over the last axis, so a (..., n) stack gives a (...,) result.
-    The package's one rule for eigenvalues that rounding pushes to or
-    below zero: non-positive eigenvalues contribute nothing, and the
-    result is floored at +0.0.
+    The package's one rule for rank-deficient spectra: eigenvalues at or
+    below TOL.spectral_floor count as zero, and the kept ones are
+    renormalised to unit sum, so rounding residue of a pure state (an
+    eigh of a rank-1 block leaves about 1e-15) gives exactly +0.0. Each
+    dropped eigenvalue moves the entropy by less than 5e-13 bits.
     """
     w = np.array(eigenvalues, dtype=float)
-    w[w <= 0.0] = 1.0  # 1 log2 1 = 0
+    zero = w <= TOL.spectral_floor
+    w[zero] = 0.0
+    w /= w.sum(-1, keepdims=True)
+    w[zero] = 1.0  # 1 log2 1 = 0
     # a tiny positive sum (an eigenvalue marginally above 1 from trace
     # rounding) floors to zero, and 0.0 - (+-0.0) is +0.0, never -0.0
     return 0.0 - np.minimum((w * np.log2(w)).sum(-1), 0.0)
+
+
+def _entropy_weights(eigenvalues: np.ndarray) -> np.ndarray:
+    """Eigenvalues of G = -log2 rho, with dS = tr(G d rho) at unit trace;
+    one counted as zero by _spectral_entropy weighs -log2 TOL.spectral_floor."""
+    return -np.log2(np.maximum(eigenvalues, TOL.spectral_floor))
 
 
 def entropy_of_spectrum(eigenvalues: np.ndarray) -> float:

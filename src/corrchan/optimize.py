@@ -2,10 +2,10 @@
 
 Three routes are provided:
 
-* minimize_full      - derivative-free simplex descent over the whole
-                       pure-state manifold, restarted from random points
-                       plus two deterministic seeds (the maximally
-                       entangled state and |0,0>).
+* minimize_full      - L-BFGS-B descent over the whole pure-state
+                       manifold, restarted from random points plus
+                       deterministic seeds (the maximally entangled state
+                       and |0,0>).
 * minimize_ansatz    - the same search restricted to the diagonal band
                        sum_j a_j |j, j>, valid for column-symmetric Pauli
                        channels where the output of such inputs has a
@@ -17,8 +17,11 @@ Three routes are provided:
 All three evaluate the output entropy through the same unchecked kernels
 (channels._apply_pure, which applies every Pauli-type channel through the
 one Weyl-basis kernel, and linalg._spectral_entropy); the two searches
-share one multistart driver. The objective has eigenvalue-crossing kinks,
-so a simplex method is used rather than anything gradient-based.
+share one L-BFGS-B multistart driver. S is a smooth spectral function
+wherever the output has full rank (Lewis, Math. Oper. Res. 21, 1996), with
+dS/d psi* = E^dag(G) psi for G = -log2 E(|psi><psi|) and E^dag the
+CorrelatedChannel.adjoint. Eigenvalues at or below TOL.spectral_floor count
+as zero in S and take a finite weight in G (linalg._entropy_weights).
 """
 
 from __future__ import annotations
@@ -29,22 +32,24 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .channels import (CorrelatedChannel, _apply_pure, apply_correlated_pure,
-                       joint_invariant_state, pauli_column_probs)
-from .linalg import _spectral_entropy, entropy_of_spectrum
+from .channels import (CorrelatedChannel, _apply_pure, apply_correlated,
+                       apply_correlated_pure, joint_invariant_state,
+                       pauli_column_probs)
+from .linalg import _entropy_weights, _spectral_entropy, entropy_of_spectrum
 from .states import (SymmetricAnsatz, ansatz_state, basis_separable,
                      entanglement_of, from_params, max_entangled, params_of)
 
 MODES = ("full", "ansatz", "real_ansatz")
+GTOL = 1e-10  # L-BFGS-B projected-gradient tolerance
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search settings; restarts=None resolves to 32 (full) or 16 (ansatz)."""
+    """Search settings. restarts counts random starts (None: 32 full, 16
+    ansatz); max_iters and ftol go to L-BFGS-B, and ftol also breaks ties."""
 
     restarts: int | None = None
     max_iters: int = 5000
-    xtol: float = 1e-9
     ftol: float = 1e-12
     seed: int = 42
     mode: str = "full"
@@ -54,8 +59,8 @@ class OptimizerConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.restarts is not None and self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.xtol <= 0 or self.ftol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.ftol <= 0:
+            raise ValueError("ftol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -123,24 +128,61 @@ def ansatz_output_matrix(column_probs: np.ndarray, mu: float,
     return out
 
 
-def _ansatz_spectrum(column_probs: np.ndarray, mu: float,
-                     a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ansatz_output_matrix without building the full matrix.
+def _on_sphere(value_and_h: Callable, real_only: bool = False) -> Callable:
+    """x -> (f, grad f) for f(a / |a|), a = x (real_only) or with re/im parts x,
+    from v -> (f(v), df/dv*); grad f is the tangent part of 2 df/dv* over |a|."""
+    def func(x: np.ndarray) -> tuple[float, np.ndarray]:
+        # interleaved re/im parameters share complex128's memory layout
+        a = x if real_only else np.ascontiguousarray(x, dtype=float).view(complex)
+        nrm = np.linalg.norm(a)
+        f, h = value_and_h(a / nrm)
+        g = 2.0 * (h - np.vdot(a, h).real * a / nrm ** 2) / nrm
+        return f, g.real if real_only else g.view(float)
+    return func
 
-    The output splits into the d x d band block plus already-diagonal
-    entries, so only a d x d eigenproblem is solved.
+
+def _full_objective(ch: CorrelatedChannel) -> Callable:
+    """x -> (S, grad S) for the pure input with interleaved re/im parts x."""
+    adjoint = ch.adjoint
+
+    def value_and_h(psi: np.ndarray) -> tuple[float, np.ndarray]:
+        w, u = np.linalg.eigh(_apply_pure(ch, psi))
+        g = (u * _entropy_weights(w)) @ u.conj().T
+        return float(_spectral_entropy(w)), apply_correlated(adjoint, g) @ psi
+    return _on_sphere(value_and_h)
+
+
+def _ansatz_objective(p: np.ndarray, mu: float, real_only: bool) -> Callable:
+    """x -> (S, grad S) for the band input sum_j a_j |j, j> (see _on_sphere).
+
+    The output is the band block plus diagonal entries (_ansatz_parts), and
+    so is G = -log2 of it: a block G_b and entries K[u, v] off the band,
+    with K[j, j] = G_b[j, j]. Then dS/da_k* = mu sum_m (G_b A q)[m + k, m]
+    + (1 - mu) a_k (Q^T K Q)[k, k].
     """
-    block, diag = _ansatz_parts(column_probs, a)
-    d = block.shape[0]
-    band = mu * block + np.diag((1.0 - mu) * np.diag(diag))
-    off = (1.0 - mu) * diag[~np.eye(d, dtype=bool)]
-    return np.concatenate([np.linalg.eigvalsh(band), off])
+    d = p.size
+    shift = np.subtract.outer(np.arange(d), np.arange(d)) % d
+    lag = np.add.outer(np.arange(d), np.arange(d)) % d  # lag[k, m] = m + k
+    q, qmat = d * p, d * p[shift]
+
+    def value_and_h(a: np.ndarray) -> tuple[float, np.ndarray]:
+        block, diag = _ansatz_parts(p, a)
+        diag *= 1.0 - mu
+        w, u = np.linalg.eigh(mu * block + np.diag(np.diag(diag)))
+        g_band = (u * _entropy_weights(w)) @ u.conj().T
+        k = _entropy_weights(diag)
+        np.fill_diagonal(k, g_band.diagonal().real)
+        h = (mu * (g_band @ a[shift] * q)[lag, np.arange(d)].sum(1)
+             + (1.0 - mu) * a * np.einsum("ui,uv,vi->i", qmat, k, qmat))
+        spectrum = np.concatenate([w, diag[~np.eye(d, dtype=bool)]])
+        return float(_spectral_entropy(spectrum)), h
+    return _on_sphere(value_and_h, real_only)
 
 
-def _multistart(func: Callable[[np.ndarray], float], starts: list[np.ndarray],
+def _multistart(func: Callable, starts: list[np.ndarray],
                 decode: Callable[[np.ndarray], np.ndarray], d: int,
                 cfg: OptimizerConfig) -> MinEntropyResult:
-    """One simplex descent from each start; the best end point wins.
+    """One L-BFGS-B descent on func -> (S, grad S) per start; the best wins.
 
     decode maps the parameters of an end point to its two-qudit state.
     Lowest entropy wins; ties within ftol go to the lower entanglement,
@@ -150,8 +192,8 @@ def _multistart(func: Callable[[np.ndarray], float], starts: list[np.ndarray],
     candidates = []
     iterations = 0
     for x0 in starts:
-        res = _scipy_minimize(func, x0, method="Nelder-Mead",
-                              options={"xatol": cfg.xtol, "fatol": cfg.ftol,
+        res = _scipy_minimize(func, x0, jac=True, method="L-BFGS-B",
+                              options={"ftol": cfg.ftol, "gtol": GTOL,
                                        "maxiter": cfg.max_iters})
         iterations += int(res.nit)
         psi = decode(res.x)
@@ -166,7 +208,7 @@ def _multistart(func: Callable[[np.ndarray], float], starts: list[np.ndarray],
 
 
 def minimize_full(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResult:
-    """Multi-start simplex search over all pure two-qudit inputs.
+    """Multi-start L-BFGS-B search over all pure two-qudit inputs.
 
     Runs cfg.restarts random starts plus deterministic seeds: the
     maximally entangled state and |0,0> - the two competing extremes - so
@@ -175,22 +217,13 @@ def minimize_full(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResu
     conj(w) is seeded too: it passes through the channel undistorted at
     every correlation level, and on such channels the zero set is a flat
     manifold that restarts alone would land on at arbitrary entanglement.
-    Deterministic given cfg.seed.
+    The deterministic seeds are stationary points, where L-BFGS-B stops at
+    once, so only the random starts search. Deterministic given cfg.seed.
     """
     if cfg.mode != "full":
         raise ValueError("minimize_full requires mode='full'")
     d = ch.base.dim
     big_d = d * d
-
-    def func(x: np.ndarray) -> float:
-        # interleaved re/im parameters share complex128's memory layout
-        amps = np.ascontiguousarray(x, dtype=float).view(complex)
-        nrm = np.linalg.norm(amps)
-        if nrm < 1e-12:
-            return float(2 * np.log2(d)) + 1.0
-        rho = _apply_pure(ch, amps / nrm)
-        return float(_spectral_entropy(np.linalg.eigvalsh(rho)))
-
     rng = np.random.default_rng(cfg.seed)
     starts = [params_of(max_entangled(d)), params_of(basis_separable(d, 0, 0))]
     active = [u for u, p in zip(ch.base.ops, ch.base.probs) if p > 0.0]
@@ -199,11 +232,13 @@ def minimize_full(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResu
     if witness is not None:
         starts.append(params_of(np.kron(witness, witness.conj())))
     starts += [rng.standard_normal(2 * big_d) for _ in range(cfg.resolved_restarts())]
-    return _multistart(func, starts, lambda x: from_params(x, big_d), d, cfg)
+    return _multistart(_full_objective(ch), starts,
+                       lambda x: from_params(x, big_d), d, cfg)
 
 
 def minimize_ansatz(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResult:
-    """Simplex search over diagonal-band inputs using the closed-form output.
+    """Multi-start L-BFGS-B search over diagonal-band inputs using the
+    closed-form output (_ansatz_objective).
 
     Only valid for column-symmetric Pauli channels; raises otherwise. In
     real_ansatz mode the coefficients are restricted to real values.
@@ -212,15 +247,7 @@ def minimize_ansatz(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyRe
         raise ValueError("minimize_ansatz requires mode='ansatz' or 'real_ansatz'")
     p = pauli_column_probs(ch.base)
     d = ch.base.dim
-    mu = ch.mu
     real_only = cfg.mode == "real_ansatz"
-
-    def func(x: np.ndarray) -> float:
-        a = x if real_only else np.ascontiguousarray(x, dtype=float).view(complex)
-        nrm = np.linalg.norm(a)
-        if nrm < 1e-12:
-            return float(2 * np.log2(d)) + 1.0
-        return float(_spectral_entropy(_ansatz_spectrum(p, mu, a / nrm)))
 
     def decode(x: np.ndarray) -> np.ndarray:
         a = from_params(params_of(x) if real_only else x, d)
@@ -233,7 +260,7 @@ def minimize_ansatz(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyRe
     starts = [a if real_only else params_of(a) for a in (uniform, e0)]
     n_params = d if real_only else 2 * d
     starts += [rng.standard_normal(n_params) for _ in range(cfg.resolved_restarts())]
-    return _multistart(func, starts, decode, d, cfg)
+    return _multistart(_ansatz_objective(p, ch.mu, real_only), starts, decode, d, cfg)
 
 
 def oracle_sample(ch: CorrelatedChannel, n_samples: int,

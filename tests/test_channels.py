@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density_matrix, symmetric_column_probs
+from conftest import (random_density_matrix, random_hermitian,
+                      symmetric_column_probs)
 from corrchan import (CorrelatedChannel, KrausChannel, apply_correlated,
                       apply_correlated_pure, apply_phi, apply_phi_c,
                       apply_phi_star, haar_random_unitary,
@@ -291,6 +292,31 @@ class TestWeylKernel:
         states = np.stack([max_entangled(8)] + [random_pure_state(64, rng)
                                                 for _ in range(2)])
         assert_matches_kraus_sum(ch, random_density_matrix(64, rng), states)
+
+
+def assert_adjoint_duality(ch, rho, rng):
+    """tr(G E(rho)) = tr(E^dag(G) rho) for a random Hermitian G."""
+    g = random_hermitian(rho.shape[0], rng)
+    lhs = np.trace(g @ apply_correlated(ch, rho))
+    rhs = np.trace(apply_correlated(ch.adjoint, g) @ rho)
+    assert abs(lhs - rhs) < 1e-12
+
+
+class TestAdjoint:
+    @settings(max_examples=40, deadline=None)
+    @given(weyl_channels_and_inputs(), st.integers(0, 2 ** 32 - 1))
+    def test_weyl_channel_duality(self, drawn, seed):
+        ch, rho, _ = drawn
+        assert ch.adjoint._weyl_blocks is not None
+        assert_adjoint_duality(ch, rho, np.random.default_rng(seed))
+
+    def test_haar_channel_duality_takes_general_path(self, rng):
+        ops = np.stack([np.eye(3), haar_random_unitary(3, rng),
+                        haar_random_unitary(3, rng)])
+        ch = CorrelatedChannel(base=KrausChannel(dim=3, ops=ops,
+                                                 probs=[0.5, 0.3, 0.2]), mu=0.35)
+        assert ch.adjoint._weyl_blocks is None
+        assert_adjoint_duality(ch, random_density_matrix(9, rng), rng)
 
 
 class TestPauliOperators:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrchan import (CorrelatedChannel, KrausChannel, MinEntropyResult,
                       OptimizerConfig, ansatz_output_matrix, apply_correlated,
                       apply_phi, minimize_ansatz, minimize_full, objective,
-                      oracle_sample, qubit_ixz_channel,
-                      symmetric_pauli_channel, von_neumann_entropy)
+                      oracle_sample, pauli_channel, pauli_column_probs,
+                      qubit_ixz_channel, symmetric_pauli_channel,
+                      von_neumann_entropy)
+from corrchan.optimize import _ansatz_objective, _full_objective
 from corrchan.states import (SymmetricAnsatz, ansatz_state, basis_separable,
-                             max_entangled)
+                             from_params, max_entangled, params_of)
 
 QUBIT = qubit_ixz_channel(0.3, 0.2, 0.5)
 QUTRIT_COLS = np.array([0.08, 0.18, 0.0733])
@@ -39,6 +43,64 @@ class TestObjective:
         from corrchan.states import random_pure_state
         psi = random_pure_state(4, rng)
         assert objective(ch, psi) <= 1e-10
+
+
+@st.composite
+def pauli_channels_at_mu(draw, symmetric):
+    """A Pauli channel with d = 2-4 and every word weighted (all columns
+    alike when symmetric), at a random mu, and a random generator."""
+    d = draw(st.integers(2, 4))
+    n = d if symmetric else d * d
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    base = (symmetric_pauli_channel(d, w / (d * w.sum())) if symmetric
+            else pauli_channel(d, w / w.sum()))
+    ch = CorrelatedChannel(base=base, mu=draw(st.floats(0.0, 1.0)))
+    return ch, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def assert_gradient_matches_differences(func, x, h=1e-6):
+    """func(x) = (f, grad f) against central differences of f."""
+    _, grad = func(x)
+    steps = h * np.eye(x.size)
+    diff = np.array([(func(x + e)[0] - func(x - e)[0]) / (2 * h) for e in steps])
+    assert np.abs(grad - diff).max() <= 1e-5 * max(1.0, np.abs(diff).max())
+
+
+class TestGradient:
+    @settings(max_examples=40, deadline=None)
+    @given(pauli_channels_at_mu(symmetric=False))
+    def test_full_search_gradient(self, drawn):
+        ch, rng = drawn
+        d = ch.base.dim
+        func = _full_objective(ch)
+        x = rng.standard_normal(2 * d * d)
+        assert abs(func(x)[0] - objective(ch, from_params(x, d * d))) < 1e-12
+        assert_gradient_matches_differences(func, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pauli_channels_at_mu(symmetric=True), st.booleans())
+    def test_ansatz_gradient(self, drawn, real_only):
+        ch, rng = drawn
+        d = ch.base.dim
+        func = _ansatz_objective(pauli_column_probs(ch.base), ch.mu, real_only)
+        x = rng.standard_normal(d if real_only else 2 * d)
+        a = from_params(params_of(x) if real_only else x, d)
+        psi = ansatz_state(SymmetricAnsatz(d=d, k=0, a=a))
+        assert abs(func(x)[0] - objective(ch, psi)) < 1e-12
+        assert_gradient_matches_differences(func, x)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_finite_on_pure_output(self, d):
+        # at mu = 1 the maximally entangled input has a pure output
+        p = np.arange(1.0, d + 1) / (d * np.arange(1.0, d + 1).sum())
+        ch = CorrelatedChannel(base=symmetric_pauli_channel(d, p), mu=1.0)
+        uniform = np.full(d, 1.0 / np.sqrt(d))
+        for func, x in ((_full_objective(ch), params_of(max_entangled(d))),
+                        (_ansatz_objective(p, 1.0, False), params_of(uniform)),
+                        (_ansatz_objective(p, 1.0, True), uniform)):
+            entropy, grad = func(x)
+            assert entropy == 0.0
+            assert np.all(np.isfinite(grad)) and np.abs(grad).max() < 1e-8
 
 
 class TestMinimizeFull:
@@ -73,6 +135,17 @@ class TestMinimizeFull:
         assert a.entanglement_bits == b.entanglement_bits
         assert a.iterations_used == b.iterations_used
         assert a.converged == b.converged
+
+    def test_random_start_finds_basin_no_seed_covers(self):
+        # the |++> optimum is none of the deterministic seeds, which are
+        # stationary points, so the one random start must reach it
+        base = qubit_ixz_channel(0.3, 0.6, 0.1)
+        ch = CorrelatedChannel(base=base, mu=0.0)
+        res = minimize_full(ch, OptimizerConfig(restarts=1, mode="full"))
+        plus = np.full(4, 0.5)
+        assert abs(objective(ch, plus) - 0.937991187179) <= 1e-12
+        assert abs(res.entropy_bits - 0.937991187179) <= 1e-9
+        assert res.entanglement_bits <= 1e-6
 
     def test_rejects_wrong_mode(self):
         ch = CorrelatedChannel(base=QUBIT, mu=0.5)
@@ -114,6 +187,16 @@ class TestMinimizeAnsatz:
         res = minimize_ansatz(ch, cfg)
         full = minimize_ansatz(ch, FAST_ANSATZ)
         assert abs(res.entropy_bits - full.entropy_bits) <= 1e-6
+
+    def test_reordered_phased_operators(self):
+        # the same channel with its operators reversed and multiplied by i
+        moved = KrausChannel(dim=3, ops=1j * QUTRIT.ops[::-1],
+                             probs=QUTRIT.probs[::-1])
+        assert np.abs(pauli_column_probs(moved) - QUTRIT_COLS).max() < 1e-15
+        for mu in (0.2, 0.6):
+            a = minimize_ansatz(CorrelatedChannel(base=moved, mu=mu), FAST_ANSATZ)
+            b = minimize_ansatz(CorrelatedChannel(base=QUTRIT, mu=mu), FAST_ANSATZ)
+            assert abs(a.entropy_bits - b.entropy_bits) < 1e-12
 
     def test_rejects_asymmetric_channel(self):
         from corrchan import pauli_channel
@@ -194,4 +277,4 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
-            OptimizerConfig(xtol=0.0)
+            OptimizerConfig(ftol=0.0)
