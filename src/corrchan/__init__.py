@@ -15,14 +15,11 @@ from .analysis import (AnalyticEstimates, SweepEntry, SweepResult,
                        verify_schur_average)
 from .channels import (CorrelatedChannel, KrausChannel, PauliOperatorSet,
                        apply_correlated, apply_correlated_pure, apply_phi,
-                       apply_phi_c, apply_phi_star, pauli_channel,
-                       pauli_column_probs, pauli_identity_residuals,
-                       pauli_operator_set, qubit_ixz_channel,
-                       symmetric_pauli_channel)
-from .linalg import (TOL, EigenDecomposition, check_density_matrix, dagger,
-                     eig_hermitian, entropy_of_spectrum, fidelity_pure,
-                     linear_entropy, partial_trace, tensor,
-                     von_neumann_entropy)
+                       apply_phi_c, pauli_channel, pauli_column_probs,
+                       pauli_identity_residuals, pauli_operator_set,
+                       qubit_ixz_channel, symmetric_pauli_channel)
+from .linalg import (TOL, entropy_of_spectrum, fidelity_pure, linear_entropy,
+                     tensor, von_neumann_entropy)
 from .optimize import (MinEntropyResult, OptimizerConfig, ansatz_output_matrix,
                        minimize_ansatz, minimize_full, objective,
                        oracle_sample)
@@ -34,18 +31,17 @@ from .states import (SymmetricAnsatz, ansatz_state, basis_separable,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticEstimates", "CorrelatedChannel", "EigenDecomposition",
-    "KrausChannel", "MinEntropyResult", "OptimizerConfig", "PauliOperatorSet",
-    "SweepEntry", "SweepResult", "SymmetricAnsatz", "TheoremVerdict", "TOL",
-    "analytic_estimates", "ansatz_output_matrix", "ansatz_state",
-    "apply_correlated", "apply_correlated_pure", "apply_phi", "apply_phi_c",
-    "apply_phi_star", "basis_separable", "check_density_matrix",
-    "check_theorem", "dagger", "detect_transition", "eig_hermitian",
+    "AnalyticEstimates", "CorrelatedChannel", "KrausChannel",
+    "MinEntropyResult", "OptimizerConfig", "PauliOperatorSet",
+    "SweepEntry", "SweepResult", "SymmetricAnsatz", "TheoremVerdict",
+    "TOL", "analytic_estimates", "ansatz_output_matrix", "ansatz_state",
+    "apply_correlated", "apply_correlated_pure", "apply_phi",
+    "apply_phi_c", "basis_separable", "check_theorem", "detect_transition",
     "entanglement_of", "entropy_of_spectrum", "estimate_mu_c_crossing",
     "fidelity_pure", "from_params", "haar_random_unitary",
     "invariance_check_me", "linear_entropy", "max_entangled",
-    "minimize_ansatz", "minimize_full", "mutual_information_i2", "objective",
-    "oracle_sample", "params_of", "partial_trace", "pauli_channel",
+    "minimize_ansatz", "minimize_full", "mutual_information_i2",
+    "objective", "oracle_sample", "params_of", "pauli_channel",
     "pauli_column_probs", "pauli_identity_residuals", "pauli_operator_set",
     "qubit_ixz_channel", "random_pure_state", "symmetric_pauli_channel",
     "sweep", "tensor", "verify_covariance", "verify_schur_average",

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import (CorrelatedChannel, KrausChannel, PauliOperatorSet,
-                       apply_correlated, joint_invariant_state)
+                       apply_correlated)
 from .linalg import tensor
 from .optimize import (MinEntropyResult, OptimizerConfig, minimize_ansatz,
                        minimize_full)
@@ -159,32 +159,19 @@ def detect_transition(sweep_result: SweepResult, d: int,
     return float(0.5 * (lo + hi))
 
 
-def check_theorem(ch: KrausChannel, alpha0: int | None = None) -> TheoremVerdict:
+def check_theorem(ch: KrausChannel) -> TheoremVerdict:
     """Decide whether a separable-to-entangled transition must occur.
 
-    Forms the relative operators A_a = U_a^dag U_a0 over the channel's
-    error operators with nonzero probability and intersects their
-    invariant-modulo-a-phase subspaces by recursive eigenspace refinement
-    (see joint_invariant_state). An empty intersection guarantees that no
-    separable input reaches zero output entropy at full correlation, so
-    the optimal input must become entangled somewhere; a surviving witness
-    state rules the guarantee out.
-
-    alpha0 picks the reference operator; the verdict does not depend on
-    the choice. By default the first operator with nonzero probability is
-    used (zero-probability operators are not errors of the channel).
+    Forms the relative operators A_a = U_a^dag U_0 over the channel's
+    error operators with nonzero probability, U_0 the first of them, and
+    intersects their invariant-modulo-a-phase subspaces by recursive
+    eigenspace refinement (KrausChannel._invariant_witness). An empty
+    intersection guarantees that no separable input reaches zero output
+    entropy at full correlation, so the optimal input must become
+    entangled somewhere; a surviving witness state rules the guarantee out.
+    The verdict does not depend on the choice of U_0.
     """
-    if alpha0 is None:
-        alpha0 = int(np.argmax(ch.probs > 0.0))
-    if not 0 <= alpha0 < len(ch.ops):
-        raise ValueError("alpha0 out of range")
-    if ch.probs[alpha0] <= 0.0:
-        raise ValueError("alpha0 must select an operator with nonzero probability")
-    active = [u for u, p in zip(ch.ops, ch.probs) if p > 0.0]
-    u0 = ch.ops[alpha0]
-    rel_ops = [u.conj().T @ u0 for u in active]
-
-    witness = joint_invariant_state(rel_ops)
+    rel_ops, witness = ch._invariant_witness
     if witness is None:
         return TheoremVerdict(intersection_empty=True, witness=None,
                               checked_pairs=len(rel_ops))
@@ -256,12 +243,8 @@ def verify_schur_average(ch: CorrelatedChannel, rho: np.ndarray,
 
 def _correlation_matrix(p: np.ndarray) -> np.ndarray:
     """C[m, n] = sum_i p[m + i] p[n + i], indices mod d."""
-    d = p.size
-    c = np.empty((d, d))
-    for m in range(d):
-        for n in range(d):
-            c[m, n] = float(np.dot(np.roll(p, -m), np.roll(p, -n)))
-    return c
+    pm = p[np.add.outer(np.arange(p.size), np.arange(p.size)) % p.size]
+    return pm.T @ pm
 
 
 def _r_curves(d: int, p: np.ndarray):

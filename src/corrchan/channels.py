@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import TOL, dagger
+from .linalg import TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ class KrausChannel:
             raise ValueError("probabilities must sum to 1")
         eye = np.eye(d)
         for u in ops:
-            if np.abs(dagger(u) @ u - eye).max() > TOL.unitarity:
+            if np.abs(u.conj().T @ u - eye).max() > TOL.unitarity:
                 raise ValueError("Kraus operator not unitary")
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "ops", ops)
@@ -84,6 +84,17 @@ class KrausChannel:
         if np.abs(self.ops - phases * weyl[words]).max() > 1e-12:
             return None
         return words
+
+    @cached_property
+    def _invariant_witness(self) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """(A, w): the relative operators A_a = U_a^dag U_0 over the operators
+        with nonzero probability, U_0 the first of them, and a unit vector w
+        invariant modulo a phase under every A_a, or None if there is none
+        (joint_invariant_state).
+        """
+        active = [u for u, p in zip(self.ops, self.probs) if p > 0.0]
+        rel_ops = [u.conj().T @ active[0] for u in active]
+        return rel_ops, joint_invariant_state(rel_ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,13 +169,6 @@ def apply_phi(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Single-qudit channel: sum_a p_a U_a rho U_a^dag."""
     rho = _check_dim(ch.dim, rho)
     return np.einsum("a,aip,pq,akq->ik", ch.probs, ch.ops, rho, ch.ops.conj(),
-                     optimize=True)
-
-
-def apply_phi_star(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Conjugate single-qudit channel: sum_a p_a conj(U_a) rho conj(U_a)^dag."""
-    rho = _check_dim(ch.dim, rho)
-    return np.einsum("a,aip,pq,akq->ik", ch.probs, ch.ops.conj(), rho, ch.ops,
                      optimize=True)
 
 
@@ -360,7 +364,7 @@ def pauli_identity_residuals(pauli: PauliOperatorSet) -> dict[str, float]:
         for n in range(d):
             u = ops[m, n]
             expected = xi ** (m * n) * ops[(-m) % d, (-n) % d]
-            dag_res = max(dag_res, float(np.abs(dagger(u) - expected).max()))
+            dag_res = max(dag_res, float(np.abs(u.conj().T - expected).max()))
             want_tr = d if (m == 0 and n == 0) else 0.0
             tr_res = max(tr_res, float(abs(np.trace(u) - want_tr)))
     comm_res = 0.0

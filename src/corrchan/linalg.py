@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small quantum systems.
+"""Entropies, fidelity and the Kronecker product for small quantum systems.
 
 Everything here operates on plain numpy arrays: states are 1-D complex
 vectors, operators and density matrices are 2-D complex arrays. All
@@ -21,29 +21,14 @@ import numpy as np
 class Tolerances(NamedTuple):
     """Central record of the numerical tolerances used across the package."""
 
-    hermiticity: float = 1e-10     # density-matrix Hermiticity defect
     trace: float = 1e-10           # unit-trace defect
     entropy_clamp: float = 1e-10   # eigenvalues in [-clamp, 0] are treated as 0
     spectral_floor: float = 1e-14  # eigenvalues at or below count as zero
-    eig_residual: float = 1e-9     # eigendecomposition residual, relative to max|A|
-    eig_input: float = 1e-8        # Hermiticity required of eig_hermitian input
     unitarity: float = 1e-9        # Kraus-operator unitarity defect
     norm: float = 1e-10            # state-vector normalisation defect
 
 
 TOL = Tolerances()
-
-
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues in ascending order and the matching unitary of columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,46 +38,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     where (rb, cb) is the shape of b.
     """
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Reduce a bipartite density matrix to one subsystem.
-
-    Parameters
-    ----------
-    rho : (D, D) array with D = dims[0] * dims[1]
-    dims : dimensions (dA, dB) of the two factors
-    keep : 0 to keep the first factor, 1 to keep the second
-
-    Returns
-    -------
-    The reduced density matrix on the kept factor; the trace is preserved.
-    """
-    rho = np.asarray(rho)
-    da, db = int(dims[0]), int(dims[1])
-    if rho.shape != (da * db, da * db):
-        raise ValueError("dims product != rho.dim")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    r4 = rho.reshape(da, db, da, db)
-    if keep == 0:
-        return np.einsum("ijkj->ik", r4)
-    return np.einsum("ijil->jl", r4)
-
-
-def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues come out ascending; the eigenvector matrix is unitary with
-    eigenvectors as columns. The input must be Hermitian within TOL.eig_input.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix not square")
-    if np.abs(a - dagger(a)).max() > TOL.eig_input:
-        raise ValueError("matrix not Hermitian")
-    w, v = np.linalg.eigh(a)
-    return EigenDecomposition(w, v)
 
 
 def _spectral_entropy(eigenvalues: np.ndarray):
@@ -155,15 +100,3 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
         raise ValueError("dimension mismatch between psi and rho")
     return float(np.real(psi.conj() @ rho @ psi))
 
-
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within TOL."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix not square")
-    if np.abs(rho - dagger(rho)).max() > TOL.hermiticity:
-        raise ValueError("density matrix not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > TOL.trace or abs(np.trace(rho).imag) > TOL.trace:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -TOL.entropy_clamp:
-        raise ValueError("density matrix not positive semidefinite")

@@ -14,6 +14,8 @@ Three routes are provided:
 * oracle_sample      - brute-force random sampling, used as an independent
                        upper-bound witness to validate the optimizers.
 
+OptimizerConfig.mode, one of MODES = ("full", "ansatz"), names the search.
+
 All three evaluate the output entropy through the same unchecked kernels
 (channels._apply_pure, which applies every Pauli-type channel through the
 one Weyl-basis kernel, and linalg._spectral_entropy); the two searches
@@ -33,20 +35,20 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from .channels import (CorrelatedChannel, _apply_pure, apply_correlated,
-                       apply_correlated_pure, joint_invariant_state,
-                       pauli_column_probs)
+                       apply_correlated_pure, pauli_column_probs)
 from .linalg import _entropy_weights, _spectral_entropy, entropy_of_spectrum
 from .states import (SymmetricAnsatz, ansatz_state, basis_separable,
                      entanglement_of, from_params, max_entangled, params_of)
 
-MODES = ("full", "ansatz", "real_ansatz")
+MODES = ("full", "ansatz")
 GTOL = 1e-10  # L-BFGS-B projected-gradient tolerance
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search settings. restarts counts random starts (None: 32 full, 16
-    ansatz); max_iters and ftol go to L-BFGS-B, and ftol also breaks ties."""
+    """Search settings. mode is one of MODES; restarts counts random starts
+    (None: 32 full, 16 ansatz); max_iters and ftol go to L-BFGS-B, and ftol
+    also breaks ties."""
 
     restarts: int | None = None
     max_iters: int = 5000
@@ -72,7 +74,11 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class MinEntropyResult:
-    """Best input state found, its output entropy and its entanglement."""
+    """Best input state found, its output entropy and its entanglement.
+
+    converged is the winning start's L-BFGS-B success flag, or True when it
+    ended at exactly S = 0, the global minimum.
+    """
 
     entropy_bits: float
     state: np.ndarray
@@ -128,16 +134,16 @@ def ansatz_output_matrix(column_probs: np.ndarray, mu: float,
     return out
 
 
-def _on_sphere(value_and_h: Callable, real_only: bool = False) -> Callable:
-    """x -> (f, grad f) for f(a / |a|), a = x (real_only) or with re/im parts x,
+def _on_sphere(value_and_h: Callable) -> Callable:
+    """x -> (f, grad f) for f(a / |a|), a with interleaved re/im parts x,
     from v -> (f(v), df/dv*); grad f is the tangent part of 2 df/dv* over |a|."""
     def func(x: np.ndarray) -> tuple[float, np.ndarray]:
         # interleaved re/im parameters share complex128's memory layout
-        a = x if real_only else np.ascontiguousarray(x, dtype=float).view(complex)
+        a = np.ascontiguousarray(x, dtype=float).view(complex)
         nrm = np.linalg.norm(a)
         f, h = value_and_h(a / nrm)
         g = 2.0 * (h - np.vdot(a, h).real * a / nrm ** 2) / nrm
-        return f, g.real if real_only else g.view(float)
+        return f, g.view(float)
     return func
 
 
@@ -152,7 +158,7 @@ def _full_objective(ch: CorrelatedChannel) -> Callable:
     return _on_sphere(value_and_h)
 
 
-def _ansatz_objective(p: np.ndarray, mu: float, real_only: bool) -> Callable:
+def _ansatz_objective(p: np.ndarray, mu: float) -> Callable:
     """x -> (S, grad S) for the band input sum_j a_j |j, j> (see _on_sphere).
 
     The output is the band block plus diagonal entries (_ansatz_parts), and
@@ -176,7 +182,7 @@ def _ansatz_objective(p: np.ndarray, mu: float, real_only: bool) -> Callable:
              + (1.0 - mu) * a * np.einsum("ui,uv,vi->i", qmat, k, qmat))
         spectrum = np.concatenate([w, diag[~np.eye(d, dtype=bool)]])
         return float(_spectral_entropy(spectrum)), h
-    return _on_sphere(value_and_h, real_only)
+    return _on_sphere(value_and_h)
 
 
 def _multistart(func: Callable, starts: list[np.ndarray],
@@ -197,8 +203,9 @@ def _multistart(func: Callable, starts: list[np.ndarray],
                                        "maxiter": cfg.max_iters})
         iterations += int(res.nit)
         psi = decode(res.x)
+        # S >= 0, so a start that ends at exactly 0 is at the global minimum
         candidates.append((float(res.fun), psi, entanglement_of(psi, d),
-                           bool(res.success)))
+                           bool(res.success or res.fun == 0.0)))
     best_entropy = min(c[0] for c in candidates)
     near = [c for c in candidates if c[0] <= best_entropy + cfg.ftol]
     entropy, psi, ent, converged = min(near, key=lambda c: (c[2], c[0]))
@@ -217,6 +224,8 @@ def minimize_full(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResu
     conj(w) is seeded too: it passes through the channel undistorted at
     every correlation level, and on such channels the zero set is a flat
     manifold that restarts alone would land on at arbitrary entanglement.
+    The witness is KrausChannel._invariant_witness, found once per base
+    channel however many values of mu a sweep searches.
     The deterministic seeds are stationary points, where L-BFGS-B stops at
     once, so only the random starts search. Deterministic given cfg.seed.
     """
@@ -226,9 +235,7 @@ def minimize_full(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResu
     big_d = d * d
     rng = np.random.default_rng(cfg.seed)
     starts = [params_of(max_entangled(d)), params_of(basis_separable(d, 0, 0))]
-    active = [u for u, p in zip(ch.base.ops, ch.base.probs) if p > 0.0]
-    rel_ops = [u.conj().T @ active[0] for u in active]
-    witness = joint_invariant_state(rel_ops)
+    _, witness = ch.base._invariant_witness
     if witness is not None:
         starts.append(params_of(np.kron(witness, witness.conj())))
     starts += [rng.standard_normal(2 * big_d) for _ in range(cfg.resolved_restarts())]
@@ -240,27 +247,22 @@ def minimize_ansatz(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyRe
     """Multi-start L-BFGS-B search over diagonal-band inputs using the
     closed-form output (_ansatz_objective).
 
-    Only valid for column-symmetric Pauli channels; raises otherwise. In
-    real_ansatz mode the coefficients are restricted to real values.
+    Only valid for column-symmetric Pauli channels; raises otherwise.
     """
-    if cfg.mode not in ("ansatz", "real_ansatz"):
-        raise ValueError("minimize_ansatz requires mode='ansatz' or 'real_ansatz'")
+    if cfg.mode != "ansatz":
+        raise ValueError("minimize_ansatz requires mode='ansatz'")
     p = pauli_column_probs(ch.base)
     d = ch.base.dim
-    real_only = cfg.mode == "real_ansatz"
 
     def decode(x: np.ndarray) -> np.ndarray:
-        a = from_params(params_of(x) if real_only else x, d)
-        return ansatz_state(SymmetricAnsatz(d=d, k=0, a=a))
+        return ansatz_state(SymmetricAnsatz(d=d, a=from_params(x, d)))
 
-    uniform = np.full(d, 1.0 / np.sqrt(d))
     e0 = np.zeros(d)
     e0[0] = 1.0
     rng = np.random.default_rng(cfg.seed)
-    starts = [a if real_only else params_of(a) for a in (uniform, e0)]
-    n_params = d if real_only else 2 * d
-    starts += [rng.standard_normal(n_params) for _ in range(cfg.resolved_restarts())]
-    return _multistart(_ansatz_objective(p, ch.mu, real_only), starts, decode, d, cfg)
+    starts = [params_of(np.full(d, 1.0 / np.sqrt(d))), params_of(e0)]
+    starts += [rng.standard_normal(2 * d) for _ in range(cfg.resolved_restarts())]
+    return _multistart(_ansatz_objective(p, ch.mu), starts, decode, d, cfg)
 
 
 def oracle_sample(ch: CorrelatedChannel, n_samples: int,

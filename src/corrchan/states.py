@@ -2,7 +2,8 @@
 
 States are 1-D complex numpy arrays of length d^2 with basis ordering
 |i, j> -> index i * d + j. Entanglement is measured as the von Neumann
-entropy (in bits) of either single-qudit reduction.
+entropy (in bits) of either single-qudit reduction. SymmetricAnsatz holds
+the diagonal band sum_j a_j |j, j> that minimize_ansatz searches.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from .linalg import TOL, entropy_of_spectrum, tensor
 
 @dataclass(frozen=True, eq=False)
 class SymmetricAnsatz:
-    """Diagonal-band two-qudit state sum_j a[j] |j, j - k mod d>."""
+    """Diagonal-band two-qudit state sum_j a[j] |j, j>."""
 
     d: int
-    k: int
     a: np.ndarray
 
     def __post_init__(self) -> None:
@@ -28,8 +28,6 @@ class SymmetricAnsatz:
             raise ValueError("coefficient vector must have length d")
         if abs(np.linalg.norm(a) - 1.0) > TOL.norm:
             raise ValueError("coefficients must be normalised")
-        if not 0 <= self.k < self.d:
-            raise ValueError("offset k must lie in [0, d)")
         object.__setattr__(self, "a", a)
 
 
@@ -83,10 +81,9 @@ def params_of(psi: np.ndarray) -> np.ndarray:
 
 def ansatz_state(ansatz: SymmetricAnsatz) -> np.ndarray:
     """Materialise a SymmetricAnsatz as a length-d^2 state vector."""
-    d, k = ansatz.d, ansatz.k
+    d = ansatz.d
     psi = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        psi[j * d + (j - k) % d] = ansatz.a[j]
+    psi[np.arange(d) * (d + 1)] = ansatz.a
     return psi
 
 

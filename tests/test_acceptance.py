@@ -237,7 +237,7 @@ def test_criterion_8_closed_form_cross_checks():
         mu = float(rng.uniform())
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         a = a / np.linalg.norm(a)
-        psi = ansatz_state(SymmetricAnsatz(d=3, k=0, a=a))
+        psi = ansatz_state(SymmetricAnsatz(d=3, a=a))
         ch = CorrelatedChannel(base=QUTRIT, mu=mu)
         direct = apply_correlated(ch, np.outer(psi, psi.conj()))
         fast = ansatz_output_matrix(QUTRIT_COLS, mu, a)

@@ -44,10 +44,9 @@ class TestCheckTheorem:
     def test_zero_probability_operators_are_ignored(self):
         # with the identity switched off, {X, Z} admits an invariant state
         ch = qubit_ixz_channel(0.0, 0.4, 0.6)
-        with pytest.raises(ValueError, match="alpha0"):
-            check_theorem(ch, alpha0=0)
-        verdict = check_theorem(ch, alpha0=1)
+        verdict = check_theorem(ch)
         assert not verdict.intersection_empty
+        assert verdict.checked_pairs == 2
 
     def test_single_operator_channel(self):
         ch = KrausChannel(dim=2, ops=SX[None], probs=[1.0])
@@ -252,7 +251,7 @@ class TestSweepAndTransition:
         # {X, Z} admits an invariant axis, so zero output entropy is
         # separable-reachable at every correlation level
         ch = qubit_ixz_channel(0.0, 0.4, 0.6)
-        verdict = check_theorem(ch, alpha0=1)
+        verdict = check_theorem(ch)
         assert not verdict.intersection_empty
         cfg = OptimizerConfig(restarts=8, seed=3, mode="full")
         result = sweep(ch, np.linspace(0.0, 1.0, 5), cfg)

@@ -7,8 +7,7 @@ from conftest import (random_density_matrix, random_hermitian,
                       symmetric_column_probs)
 from corrchan import (CorrelatedChannel, KrausChannel, apply_correlated,
                       apply_correlated_pure, apply_phi, apply_phi_c,
-                      apply_phi_star, haar_random_unitary,
-                      pauli_channel, pauli_column_probs,
+                      haar_random_unitary, pauli_channel, pauli_column_probs,
                       pauli_identity_residuals, pauli_operator_set,
                       entropy_of_spectrum, qubit_ixz_channel,
                       symmetric_pauli_channel, tensor, von_neumann_entropy)
@@ -78,26 +77,6 @@ class TestApplyPhi:
         ch = qubit_ixz_channel(0.3, 0.2, 0.5)
         with pytest.raises(ValueError, match="dimension"):
             apply_phi(ch, np.eye(3) / 3)
-
-
-class TestApplyPhiStar:
-    def test_equals_phi_for_real_operators(self, rng):
-        ch = qubit_ixz_channel(0.3, 0.2, 0.5)
-        rho = random_density_matrix(2, rng)
-        assert np.abs(apply_phi(ch, rho) - apply_phi_star(ch, rho)).max() < 1e-12
-
-    def test_conjugation_identity(self, rng):
-        ops = np.stack([np.eye(2, dtype=complex), SY])
-        ch = KrausChannel(dim=2, ops=ops, probs=[0.4, 0.6])
-        rho = random_density_matrix(2, rng)
-        lhs = apply_phi_star(ch, rho)
-        rhs = apply_phi(ch, rho.conj()).conj()
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-    def test_sigma_y_flips_ground_state(self):
-        ch = KrausChannel(dim=2, ops=SY[None], probs=[1.0])
-        out = apply_phi_star(ch, np.diag([1.0, 0.0]).astype(complex))
-        assert np.abs(out - np.diag([0.0, 1.0])).max() < 1e-12
 
 
 class TestApplyPhiC:

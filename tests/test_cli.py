@@ -105,6 +105,18 @@ class TestExitCodes:
         path = write_cfg(tmp_path)  # qubit_ixz
         assert main(["estimate", "--config", str(path)]) == 2
 
+    def test_retired_real_ansatz_mode_in_config(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, mode="real_ansatz")
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "mode must be one of" in capsys.readouterr().err
+
+    def test_retired_real_ansatz_mode_flag(self, tmp_path, capsys):
+        path = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(path), "--mode", "real_ansatz"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_ixz_predicts_transition(self, tmp_path, capsys):

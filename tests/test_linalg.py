@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_hermitian
-from corrchan import (check_density_matrix, eig_hermitian,
-                      entropy_of_spectrum, fidelity_pure, haar_random_unitary,
-                      linear_entropy, partial_trace, tensor,
-                      von_neumann_entropy)
+from conftest import random_density_matrix
+from corrchan import (entropy_of_spectrum, fidelity_pure, haar_random_unitary,
+                      linear_entropy, tensor, von_neumann_entropy)
 from corrchan.states import max_entangled, random_pure_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,72 +33,6 @@ class TestTensor:
         mats = [rng.integers(-3, 4, size=(2, 2)) for _ in range(3)]
         a, b, c = (m.astype(complex) for m in mats)
         assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
-
-class TestPartialTrace:
-    def test_product_state_reduces_to_factor(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0
-        red = partial_trace(rho, (2, 2), 0)
-        assert np.abs(red - np.diag([1.0, 0.0])).max() < 1e-14
-
-    def test_max_entangled_reduces_to_maximally_mixed(self):
-        psi = max_entangled(2)
-        red = partial_trace(np.outer(psi, psi.conj()), (2, 2), 0)
-        assert np.abs(red - np.eye(2) / 2).max() < 1e-12
-
-    def test_schmidt_symmetry_of_reductions(self, rng):
-        psi = random_pure_state(9, rng)
-        rho = np.outer(psi, psi.conj())
-        wa = np.linalg.eigvalsh(partial_trace(rho, (3, 3), 0))
-        wb = np.linalg.eigvalsh(partial_trace(rho, (3, 3), 1))
-        assert np.abs(wa - wb).max() < 1e-9
-
-    def test_trace_preserved(self, rng):
-        rho = random_density_matrix(6, rng)
-        for keep in (0, 1):
-            red = partial_trace(rho, (2, 3), keep)
-            assert abs(np.trace(red) - 1.0) < 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dims product"):
-            partial_trace(np.eye(4) / 4, (2, 3), 0)
-
-
-class TestEigHermitian:
-    def test_diagonal(self):
-        dec = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
-
-    def test_pauli_x_spectrum(self):
-        dec = eig_hermitian(SX)
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-12)
-
-    def test_reconstruction_9x9(self, rng):
-        h = random_hermitian(9, rng)
-        dec = eig_hermitian(h)
-        recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
-        assert np.abs(recon - h).max() <= 1e-9 * np.abs(h).max()
-
-    def test_reconstruction_many_random(self, rng):
-        # 1000 random Hermitian matrices up to dim 16
-        for trial in range(1000):
-            dim = int(rng.integers(2, 17))
-            h = random_hermitian(dim, rng, scale=float(rng.uniform(0.1, 10)))
-            dec = eig_hermitian(h)
-            recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
-            scale = np.abs(h).max()
-            assert np.abs(recon - h).max() <= 1e-9 * scale
-            gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-            assert np.abs(gram - np.eye(dim)).max() <= 1e-9
-
-    def test_eigenvalues_ascending(self, rng):
-        dec = eig_hermitian(random_hermitian(8, rng))
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestVonNeumannEntropy:
@@ -190,16 +122,3 @@ class TestFidelityPure:
         f = fidelity_pure(psi, rho)
         assert -1e-10 <= f <= 1 + 1e-10
 
-
-class TestCheckDensityMatrix:
-    def test_accepts_valid(self, rng):
-        check_density_matrix(random_density_matrix(5, rng))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            check_density_matrix(np.eye(2))
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            check_density_matrix(m)

@@ -78,14 +78,13 @@ class TestGradient:
         assert_gradient_matches_differences(func, x)
 
     @settings(max_examples=40, deadline=None)
-    @given(pauli_channels_at_mu(symmetric=True), st.booleans())
-    def test_ansatz_gradient(self, drawn, real_only):
+    @given(pauli_channels_at_mu(symmetric=True))
+    def test_ansatz_gradient(self, drawn):
         ch, rng = drawn
         d = ch.base.dim
-        func = _ansatz_objective(pauli_column_probs(ch.base), ch.mu, real_only)
-        x = rng.standard_normal(d if real_only else 2 * d)
-        a = from_params(params_of(x) if real_only else x, d)
-        psi = ansatz_state(SymmetricAnsatz(d=d, k=0, a=a))
+        func = _ansatz_objective(pauli_column_probs(ch.base), ch.mu)
+        x = rng.standard_normal(2 * d)
+        psi = ansatz_state(SymmetricAnsatz(d=d, a=from_params(x, d)))
         assert abs(func(x)[0] - objective(ch, psi)) < 1e-12
         assert_gradient_matches_differences(func, x)
 
@@ -96,8 +95,7 @@ class TestGradient:
         ch = CorrelatedChannel(base=symmetric_pauli_channel(d, p), mu=1.0)
         uniform = np.full(d, 1.0 / np.sqrt(d))
         for func, x in ((_full_objective(ch), params_of(max_entangled(d))),
-                        (_ansatz_objective(p, 1.0, False), params_of(uniform)),
-                        (_ansatz_objective(p, 1.0, True), uniform)):
+                        (_ansatz_objective(p, 1.0), params_of(uniform))):
             entropy, grad = func(x)
             assert entropy == 0.0
             assert np.all(np.isfinite(grad)) and np.abs(grad).max() < 1e-8
@@ -117,6 +115,14 @@ class TestMinimizeFull:
         res = minimize_full(ch, FAST_FULL)
         assert res.entropy_bits <= 1e-8
         assert abs(res.entanglement_bits - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("restarts", [1, 2, 4, 8])
+    def test_exact_zero_at_full_correlation_is_converged(self, restarts):
+        # S >= 0, so a start that ends at exactly S = 0 is a global minimum
+        ch = CorrelatedChannel(base=QUBIT, mu=1.0)
+        res = minimize_full(ch, OptimizerConfig(restarts=restarts, mode="full"))
+        assert res.entropy_bits == 0.0
+        assert res.converged
 
     def test_never_loses_to_oracle(self):
         for mu in (0.2, 0.6):
@@ -173,6 +179,14 @@ class TestMinimizeAnsatz:
         assert res.entropy_bits <= 1e-8
         assert abs(res.entanglement_bits - np.log2(3)) <= 1e-6
 
+    @pytest.mark.parametrize("restarts", [1, 2, 4, 8])
+    def test_exact_zero_at_full_correlation_is_converged(self, restarts):
+        ch = CorrelatedChannel(base=QUTRIT, mu=1.0)
+        res = minimize_ansatz(ch, OptimizerConfig(restarts=restarts,
+                                                  mode="ansatz"))
+        assert res.entropy_bits == 0.0
+        assert res.converged
+
     def test_agrees_with_full_search(self):
         for mu in (0.1, 0.5, 0.9):
             ch = CorrelatedChannel(base=QUTRIT, mu=mu)
@@ -180,13 +194,6 @@ class TestMinimizeAnsatz:
             res_f = minimize_full(ch, OptimizerConfig(restarts=8, seed=5,
                                                       mode="full"))
             assert abs(res_a.entropy_bits - res_f.entropy_bits) <= 0.01
-
-    def test_real_mode(self):
-        ch = CorrelatedChannel(base=QUTRIT, mu=0.5)
-        cfg = OptimizerConfig(restarts=6, seed=11, mode="real_ansatz")
-        res = minimize_ansatz(ch, cfg)
-        full = minimize_ansatz(ch, FAST_ANSATZ)
-        assert abs(res.entropy_bits - full.entropy_bits) <= 1e-6
 
     def test_reordered_phased_operators(self):
         # the same channel with its operators reversed and multiplied by i
@@ -219,7 +226,7 @@ class TestClosedFormOutput:
             mu = float(rng.uniform())
             a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             a = a / np.linalg.norm(a)
-            psi = ansatz_state(SymmetricAnsatz(d=3, k=0, a=a))
+            psi = ansatz_state(SymmetricAnsatz(d=3, a=a))
             ch = CorrelatedChannel(base=QUTRIT, mu=mu)
             direct = apply_correlated(ch, np.outer(psi, psi.conj()))
             fast = ansatz_output_matrix(QUTRIT_COLS, mu, a)
@@ -274,6 +281,8 @@ class TestOptimizerConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             OptimizerConfig(mode="gradient")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            OptimizerConfig(mode="real_ansatz")
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):

@@ -82,31 +82,25 @@ class TestFromParams:
 class TestAnsatzState:
     def test_uniform_is_max_entangled(self):
         a = np.full(3, 1 / np.sqrt(3), dtype=complex)
-        psi = ansatz_state(SymmetricAnsatz(d=3, k=0, a=a))
+        psi = ansatz_state(SymmetricAnsatz(d=3, a=a))
         assert np.abs(psi - max_entangled(3)).max() < 1e-12
 
     def test_basis_coefficients(self):
         a = np.array([1.0, 0.0, 0.0], dtype=complex)
-        psi = ansatz_state(SymmetricAnsatz(d=3, k=0, a=a))
+        psi = ansatz_state(SymmetricAnsatz(d=3, a=a))
         assert np.abs(psi - basis_separable(3, 0, 0)).max() < 1e-15
-
-    def test_offset_band(self):
-        a = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2)
-        psi = ansatz_state(SymmetricAnsatz(d=3, k=1, a=a))
-        expected = (basis_separable(3, 0, 2) + basis_separable(3, 1, 0)) / np.sqrt(2)
-        assert np.abs(psi - expected).max() < 1e-12
 
     def test_rejects_unnormalised(self):
         with pytest.raises(ValueError, match="normalised"):
-            SymmetricAnsatz(d=3, k=0, a=np.array([1.0, 1.0, 0.0]))
+            SymmetricAnsatz(d=3, a=np.array([1.0, 1.0, 0.0]))
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_symmetry_eigenstate(self, k, rng):
-        # every diagonal-band state is fixed (modulo phase) by U01 x conj(U01)
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_symmetry_eigenstate(self, n, rng):
+        # every diagonal-band state is fixed (modulo phase) by U0n x conj(U0n)
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         a = a / np.linalg.norm(a)
-        psi = ansatz_state(SymmetricAnsatz(d=3, k=k, a=a))
-        u = pauli_operator_set(3).ops[0, 1]
+        psi = ansatz_state(SymmetricAnsatz(d=3, a=a))
+        u = pauli_operator_set(3).ops[0, n]
         w = tensor(u, u.conj())
         image = w @ psi
         overlap = np.vdot(psi, image)
@@ -123,7 +117,7 @@ class TestEntanglementOf:
 
     def test_binary_entropy_case(self):
         a = np.array([np.sqrt(0.8), np.sqrt(0.2)], dtype=complex)
-        psi = ansatz_state(SymmetricAnsatz(d=2, k=0, a=a))
+        psi = ansatz_state(SymmetricAnsatz(d=2, a=a))
         expected = -(0.8 * np.log2(0.8) + 0.2 * np.log2(0.2))
         assert abs(entanglement_of(psi, 2) - expected) < 1e-12
 
