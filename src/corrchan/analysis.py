@@ -180,7 +180,7 @@ def check_theorem(ch: KrausChannel) -> TheoremVerdict:
         phase_proj = (witness.conj() @ av) * witness
         if np.linalg.norm(av - phase_proj) > 1e-9:
             raise AssertionError("witness failed the invariance residual check")
-    return TheoremVerdict(intersection_empty=False, witness=witness,
+    return TheoremVerdict(intersection_empty=False, witness=witness.copy(),
                           checked_pairs=len(rel_ops))
 
 

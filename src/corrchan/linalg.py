@@ -99,4 +99,3 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float:
     if rho.shape != (psi.size, psi.size):
         raise ValueError("dimension mismatch between psi and rho")
     return float(np.real(psi.conj() @ rho @ psi))
-

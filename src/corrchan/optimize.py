@@ -16,10 +16,11 @@ Three routes are provided:
 
 OptimizerConfig.mode, one of MODES = ("full", "ansatz"), names the search.
 
-All three evaluate the output entropy through the same unchecked kernels
-(channels._apply_pure, which applies every Pauli-type channel through the
-one Weyl-basis kernel, and linalg._spectral_entropy); the two searches
-share one L-BFGS-B multistart driver. S is a smooth spectral function
+minimize_full and oracle_sample apply the channel through
+channels._apply_pure (every Pauli-type channel takes the one Weyl-basis
+kernel), minimize_ansatz through its closed form; all three sum the
+entropy in linalg._spectral_entropy, and the two searches share one
+L-BFGS-B multistart driver. S is a smooth spectral function
 wherever the output has full rank (Lewis, Math. Oper. Res. 21, 1996), with
 dS/d psi* = E^dag(G) psi for G = -log2 E(|psi><psi|) and E^dag the
 CorrelatedChannel.adjoint. Eigenvalues at or below TOL.spectral_floor count

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_density_matrix
 from corrchan import (entropy_of_spectrum, fidelity_pure, haar_random_unitary,
                       linear_entropy, tensor, von_neumann_entropy)
-from corrchan.states import max_entangled, random_pure_state
+from corrchan.states import random_pure_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -121,4 +121,3 @@ class TestFidelityPure:
         rho = random_density_matrix(4, rng)
         f = fidelity_pure(psi, rho)
         assert -1e-10 <= f <= 1 + 1e-10
-

@@ -30,11 +30,6 @@ def test_retired_names_are_gone(module):
         assert not hasattr(mod, name), f"{module}.{name}"
 
 
-def test_retired_search_mode():
-    from corrchan.optimize import MODES
-    assert MODES == ("full", "ansatz")
-
-
 def unused_imports(path: Path) -> list[str]:
     """Names a module imports but never reads (names in __all__ count as read)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
