@@ -4,31 +4,36 @@ joint-invariant-state criterion, capacity checks and closed-form estimates.
 The central phenomenon: as the correlation weight mu grows, the input
 state minimising the output entropy jumps abruptly from a separable
 product state to a maximally entangled state. detect_transition locates
-the jump; check_theorem decides in advance whether one must occur.
+the jump where the basin curves S_me and S_sep cross; check_theorem
+decides in advance whether one must occur.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .channels import (CorrelatedChannel, KrausChannel, PauliOperatorSet,
-                       apply_correlated)
-from .linalg import tensor
+                       _apply_pure, apply_correlated)
+from .linalg import _spectral_entropy, tensor
 from .optimize import (MinEntropyResult, OptimizerConfig, minimize_ansatz,
                        minimize_full)
+from .states import max_entangled
 
 
 @dataclass(frozen=True, eq=False)
 class SweepEntry:
-    """Optimum found at one grid value of the correlation weight."""
+    """Search optimum at one mu, and the basin curves S_me, S_sep there."""
 
     mu: float
     min_entropy_bits: float
     entanglement_bits: float
     optimal_amplitudes: np.ndarray
+    s_me_bits: float
+    s_sep_bits: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +43,6 @@ class SweepResult:
     mu_grid: np.ndarray
     entries: list[SweepEntry]
     mu_c: float | None
-    method: str
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.mu_grid, dtype=float)
@@ -94,12 +98,8 @@ def minimize_entropy(ch: CorrelatedChannel,
 
 def sweep(ch_base: KrausChannel, mu_grid: Sequence[float],
           cfg: OptimizerConfig) -> SweepResult:
-    """Minimise output entropy at every grid value of the correlation weight.
-
-    The transition point, when the optimal-input entanglement crosses half
-    its maximum somewhere on the grid, is refined by bisection and stored
-    in the result.
-    """
+    """Minimise output entropy at every grid value of mu, certifying the
+    basin curves there, and locate where they cross (detect_transition)."""
     grid = np.asarray(mu_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("mu grid needs at least two points")
@@ -107,56 +107,49 @@ def sweep(ch_base: KrausChannel, mu_grid: Sequence[float],
         raise ValueError("mu grid must lie in [0, 1]")
     entries = []
     for mu in grid:
-        res = minimize_entropy(CorrelatedChannel(base=ch_base, mu=float(mu)),
-                               cfg)
-        entries.append(SweepEntry(mu=float(mu),
-                                  min_entropy_bits=res.entropy_bits,
-                                  entanglement_bits=res.entanglement_bits,
-                                  optimal_amplitudes=res.state))
-    partial = SweepResult(mu_grid=grid, entries=entries, mu_c=None,
-                          method=cfg.mode)
-
-    def reoptimize(mu: float) -> float:
-        res = minimize_entropy(CorrelatedChannel(base=ch_base, mu=mu), cfg)
-        return res.entanglement_bits
-
-    mu_c = detect_transition(partial, ch_base.dim, reoptimize=reoptimize)
-    return SweepResult(mu_grid=grid, entries=entries, mu_c=mu_c,
-                       method=cfg.mode)
+        ch = CorrelatedChannel(base=ch_base, mu=float(mu))
+        res = minimize_entropy(ch, cfg)
+        s = _basin_entropies(ch)
+        entries.append(SweepEntry(float(mu), res.entropy_bits,
+                                  res.entanglement_bits, res.state,
+                                  float(s[0]), float(s[1:].min())))
+    return SweepResult(mu_grid=grid, entries=entries,
+                       mu_c=detect_transition(ch_base, entries))
 
 
-def detect_transition(sweep_result: SweepResult, d: int,
-                      reoptimize: Callable[[float], float] | None = None,
-                      width: float = 1e-3) -> float | None:
-    """Locate where the optimal-input entanglement crosses log2(d) / 2.
+def _basin_inputs(d: int) -> np.ndarray:
+    """The maximally entangled input, then the products a x conj(a), a in
+    the eigenbases of Z and of X Z^n (n < d): X Z^n |k> = w^(kn) |k+1> has
+    a_j[k] = w^(n k (k-1) / 2 - k (j + n (d-1) / 2)) / sqrt(d), j < d.
+    For d = 2 these are |00>, |11>, |++>, |--> and the Y basis."""
+    n, j, k = np.ogrid[:d, :d, :d]
+    turns = n * k * (k - 1) / 2 - k * (j + n * (d - 1) / 2)
+    xz = np.exp(2j * np.pi * turns / d).reshape(d * d, d) / np.sqrt(d)
+    a = np.concatenate([np.eye(d), xz])
+    products = (a[:, :, None] * a[:, None, :].conj()).reshape(-1, d * d)
+    return np.concatenate([max_entangled(d)[None], products])
 
-    Scans the grid for an adjacent pair straddling the threshold, then
-    bisects on mu - re-optimising at each probe via the supplied callback -
-    until the bracket is narrower than `width`, and returns its midpoint.
-    Without a callback the midpoint of the bracketing grid cell is
-    returned. None when the entanglement never crosses the threshold.
-    """
-    thr = 0.5 * np.log2(d)
-    ents = [e.entanglement_bits for e in sweep_result.entries]
-    mus = sweep_result.mu_grid
-    bracket = None
-    for i in range(len(mus) - 1):
-        if (ents[i] < thr) != (ents[i + 1] < thr):
-            bracket = (mus[i], mus[i + 1], ents[i] < thr)
-            break
-    if bracket is None:
-        return None
-    lo, hi, rising = bracket
-    if reoptimize is None:
-        return float(0.5 * (lo + hi))
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        above = reoptimize(float(mid)) >= thr
-        if above == rising:
-            hi = mid
-        else:
-            lo = mid
-    return float(0.5 * (lo + hi))
+
+def _basin_entropies(ch: CorrelatedChannel) -> np.ndarray:
+    """Output entropies of the _basin_inputs in one stacked call: entry 0
+    is S_me, the least of the rest S_sep."""
+    rho = _apply_pure(ch, _basin_inputs(ch.base.dim))
+    return _spectral_entropy(np.linalg.eigvalsh(rho))
+
+
+def detect_transition(ch_base: KrausChannel,
+                      entries: Sequence[SweepEntry]) -> float | None:
+    """Locate mu_c, the root of S_me(mu) - S_sep(mu), by brentq to 1e-12 in
+    the first grid cell where the entries' S_me - S_sep falls from >= 0 (a
+    tie counts as separable) to < 0. None when it never falls below 0."""
+    def gap(mu: float) -> float:
+        s = _basin_entropies(CorrelatedChannel(base=ch_base, mu=mu))
+        return float(s[0] - s[1:].min())
+
+    for lo, hi in zip(entries, entries[1:]):
+        if lo.s_me_bits >= lo.s_sep_bits and hi.s_me_bits < hi.s_sep_bits:
+            return float(brentq(gap, lo.mu, hi.mu, xtol=1e-12))
+    return None
 
 
 def check_theorem(ch: KrausChannel) -> TheoremVerdict:

@@ -62,6 +62,11 @@ def _sweep_csv(result: analysis.SweepResult, d: int) -> str:
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     ch_base = build_channel(cfg)
     result = analysis.sweep(ch_base, cfg.mu_grid(), cfg.optimizer_config())
+    for e in result.entries:  # a basin below both curves is a finding
+        if e.min_entropy_bits < min(e.s_me_bits, e.s_sep_bits) - cfg.ftol:
+            print(f"warning: mu={_fmt(e.mu)} search S={_fmt(e.min_entropy_bits)}"
+                  f" is below both basin curves, S_me={_fmt(e.s_me_bits)} and "
+                  f"S_sep={_fmt(e.s_sep_bits)}", file=sys.stderr)
     d = ch_base.dim
     if "csv" in cfg.outputs:
         _write_text(Path(cfg.out_dir) / "sweep.csv", _sweep_csv(result, d))

@@ -43,6 +43,7 @@ from .states import (SymmetricAnsatz, ansatz_state, basis_separable,
 
 MODES = ("full", "ansatz")
 GTOL = 1e-10  # L-BFGS-B projected-gradient tolerance
+ENTANGLEMENT_TIE = 1e-9  # bits; end points this close in entanglement tie
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,9 @@ def _multistart(func: Callable, starts: list[np.ndarray],
     """One L-BFGS-B descent on func -> (S, grad S) per start; the best wins.
 
     decode maps the parameters of an end point to its two-qudit state.
-    Lowest entropy wins; ties within ftol go to the lower entanglement,
-    which biases reporting toward the separable description when two
-    basins are numerically degenerate.
+    Lowest entropy wins. End points within ftol of it tie, and the least
+    entangled of them wins; entanglements within ENTANGLEMENT_TIE of the
+    least are rounding apart, and among those the lowest entropy wins.
     """
     candidates = []
     iterations = 0
@@ -209,7 +210,9 @@ def _multistart(func: Callable, starts: list[np.ndarray],
                            bool(res.success or res.fun == 0.0)))
     best_entropy = min(c[0] for c in candidates)
     near = [c for c in candidates if c[0] <= best_entropy + cfg.ftol]
-    entropy, psi, ent, converged = min(near, key=lambda c: (c[2], c[0]))
+    least_ent = min(c[2] for c in near) + ENTANGLEMENT_TIE
+    entropy, psi, ent, converged = min(
+        (c for c in near if c[2] <= least_ent), key=lambda c: c[0])
     return MinEntropyResult(entropy_bits=entropy, state=psi,
                             entanglement_bits=ent,
                             iterations_used=iterations, converged=converged)

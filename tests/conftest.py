@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from corrchan import haar_random_unitary, random_pure_state
+from corrchan import (CorrelatedChannel, haar_random_unitary, pauli_channel,
+                      random_pure_state, symmetric_pauli_channel)
 
 
 @pytest.fixture
@@ -31,5 +32,18 @@ def symmetric_column_probs(draw):
     return d, weights / (d * weights.sum())
 
 
+@st.composite
+def pauli_channels_at_mu(draw, symmetric, max_dim=4):
+    """A Pauli channel with d = 2..max_dim and every word weighted (all
+    columns alike when symmetric), at a random mu, and a random generator."""
+    d = draw(st.integers(2, max_dim))
+    n = d if symmetric else d * d
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    base = (symmetric_pauli_channel(d, w / (d * w.sum())) if symmetric
+            else pauli_channel(d, w / w.sum()))
+    ch = CorrelatedChannel(base=base, mu=draw(st.floats(0.0, 1.0)))
+    return ch, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
 __all__ = ["random_hermitian", "random_density_matrix", "haar_random_unitary",
-           "random_pure_state", "symmetric_column_probs"]
+           "random_pure_state", "symmetric_column_probs", "pauli_channels_at_mu"]

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import random_density_matrix, symmetric_column_probs
+from conftest import (pauli_channels_at_mu, random_density_matrix,
+                      symmetric_column_probs)
 from corrchan import (CorrelatedChannel, KrausChannel, OptimizerConfig,
-                      analytic_estimates, apply_correlated, check_theorem,
-                      detect_transition, estimate_mu_c_crossing, fidelity_pure,
-                      linear_entropy, max_entangled, mutual_information_i2,
-                      pauli_operator_set, qubit_ixz_channel, sweep,
+                      analysis, analytic_estimates, apply_correlated,
+                      check_theorem, detect_transition, estimate_mu_c_crossing,
+                      fidelity_pure, haar_random_unitary, linear_entropy,
+                      max_entangled, minimize_full, mutual_information_i2,
+                      objective, pauli_operator_set, qubit_ixz_channel, sweep,
                       symmetric_pauli_channel, verify_covariance,
                       verify_schur_average)
-from corrchan.analysis import SweepEntry, SweepResult
-from corrchan.states import basis_separable, random_pure_state
+from corrchan.analysis import SweepEntry, _basin_entropies, _basin_inputs
+from corrchan.states import basis_separable, entanglement_of, random_pure_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -21,6 +23,12 @@ QUTRIT_COLS = QUTRIT_COLS / (3 * QUTRIT_COLS.sum())
 
 QUBIT = qubit_ixz_channel(0.3, 0.2, 0.5)
 QUTRIT = symmetric_pauli_channel(3, QUTRIT_COLS)
+# roots of S_me - S_sep on the presets, as bench/checks.py's dense
+# Kraus-sum reference computes them
+QUBIT_MU_C = 0.5595807783
+QUTRIT_MU_C = 0.2905396931
+NOISELESS = KrausChannel(dim=2, ops=np.eye(2, dtype=complex)[None], probs=[1.0])
+WITNESS = qubit_ixz_channel(0.0, 0.4, 0.6)  # {X, Z} leaves the Y axis invariant
 
 
 class TestCheckTheorem:
@@ -259,21 +267,17 @@ class TestSweepAndTransition:
         assert all(e.min_entropy_bits <= 1e-8 for e in result.entries)
         assert all(e.entanglement_bits <= 0.05 for e in result.entries)
 
-    def test_detect_transition_without_reoptimizer(self):
-        entries = [SweepEntry(mu=m, min_entropy_bits=0.5,
-                              entanglement_bits=e, optimal_amplitudes=np.ones(4))
-                   for m, e in [(0.0, 0.0), (0.5, 0.1), (1.0, 0.9)]]
-        result = SweepResult(mu_grid=np.array([0.0, 0.5, 1.0]),
-                             entries=entries, mu_c=None, method="full")
-        assert detect_transition(result, 2) == pytest.approx(0.75)
+    def test_one_search_per_grid_point(self, monkeypatch):
+        searched = []
 
-    def test_detect_transition_flat(self):
-        entries = [SweepEntry(mu=m, min_entropy_bits=0.5,
-                              entanglement_bits=0.0, optimal_amplitudes=np.ones(4))
-                   for m in (0.0, 1.0)]
-        result = SweepResult(mu_grid=np.array([0.0, 1.0]), entries=entries,
-                             mu_c=None, method="full")
-        assert detect_transition(result, 2) is None
+        def counted(ch, cfg):
+            searched.append(ch.mu)
+            return minimize_full(ch, cfg)
+        monkeypatch.setattr(analysis, "minimize_full", counted)
+        grid = np.linspace(0.0, 1.0, 5)
+        result = sweep(QUBIT, grid, OptimizerConfig(restarts=1, seed=42))
+        assert searched == list(grid)
+        assert abs(result.mu_c - QUBIT_MU_C) < 1e-9
 
     def test_sweep_validates_grid(self):
         cfg = OptimizerConfig(restarts=2, seed=7, mode="full")
@@ -281,3 +285,66 @@ class TestSweepAndTransition:
             sweep(QUBIT, [0.5], cfg)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             sweep(QUBIT, [0.0, 1.2], cfg)
+
+
+def curve_entries(base, grid):
+    """Sweep entries carrying the basin curves and no search result."""
+    entries = []
+    for mu in grid:
+        s = _basin_entropies(CorrelatedChannel(base=base, mu=float(mu)))
+        entries.append(SweepEntry(mu=float(mu), min_entropy_bits=0.0,
+                                  entanglement_bits=0.0,
+                                  optimal_amplitudes=np.ones(4),
+                                  s_me_bits=float(s[0]),
+                                  s_sep_bits=float(s[1:].min())))
+    return entries
+
+
+class TestBasinCurves:
+    @settings(max_examples=40, deadline=None)
+    @given(pauli_channels_at_mu(symmetric=False, max_dim=5))
+    def test_stacked_entropies_match_objective(self, drawn):
+        ch, _ = drawn
+        want = [objective(ch, psi) for psi in _basin_inputs(ch.base.dim)]
+        assert np.abs(_basin_entropies(ch) - want).max() <= 1e-12
+
+    def test_stacked_entropies_on_a_non_weyl_channel(self, rng):
+        ops = np.stack([haar_random_unitary(3, rng) for _ in range(3)])
+        base = KrausChannel(dim=3, ops=ops, probs=[0.2, 0.3, 0.5])
+        ch = CorrelatedChannel(base=base, mu=0.4)
+        want = [objective(ch, psi) for psi in _basin_inputs(3)]
+        assert np.abs(_basin_entropies(ch) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_inputs(self, d):
+        states = _basin_inputs(d)
+        assert states.shape == (1 + d * (d + 1), d * d)
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < 1e-12
+        assert np.array_equal(states[0], max_entangled(d))
+        assert max(entanglement_of(psi, d) for psi in states[1:]) == 0.0
+        # d orthonormal products a x conj(a) per basis, with a an eigenvector
+        # of Z, then of X Z^n for n = 0 .. d-1
+        ops = pauli_operator_set(d).ops
+        generators = [ops[0, 1]] + [ops[1, n] for n in range(d)]
+        for u, basis in zip(generators, states[1:].reshape(d + 1, d, d * d)):
+            assert np.abs(basis @ basis.conj().T - np.eye(d)).max() < 1e-12
+            for psi in basis:
+                a = np.linalg.eigh(psi.reshape(d, d))[1][:, -1]
+                assert np.abs(np.outer(a, a.conj()).ravel() - psi).max() < 1e-12
+                assert abs(abs(np.vdot(a, u @ a)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("base,root", [(QUBIT, QUBIT_MU_C),
+                                           (QUTRIT, QUTRIT_MU_C)])
+    def test_preset_roots(self, base, root):
+        for grid in (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 51)):
+            mu_c = detect_transition(base, curve_entries(base, grid))
+            assert abs(mu_c - root) < 1e-9
+
+    @pytest.mark.parametrize("base", [NOISELESS, WITNESS],
+                             ids=["noiseless", "witness"])
+    def test_no_root(self, base):
+        entries = curve_entries(base, np.linspace(0.0, 1.0, 11))
+        assert detect_transition(base, entries) is None
+        # a zero-entropy product input exists at every mu; for the witness
+        # channel it is a Y-basis state
+        assert all(e.s_sep_bits == 0.0 for e in entries)

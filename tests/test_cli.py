@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from corrchan import analysis
 from corrchan.cli import main
 from corrchan.config import ConfigError, build_channel, load_config
 
@@ -174,6 +177,30 @@ class TestSweepCommand:
         csv = (out2 / "sweep.csv").read_text(encoding="utf-8")
         assert len(csv.strip().splitlines()) == 5
         capsys.readouterr()
+
+    def test_prints_the_exact_root_and_no_warning(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, outputs="csv")
+        assert main(["sweep", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "mu_c=0.559581\n"
+        assert "warning" not in err
+
+    def test_warns_on_a_search_below_both_basin_curves(self, tmp_path, capsys,
+                                                       monkeypatch):
+        search = analysis.minimize_full
+
+        def below_at_half(ch, cfg):
+            res = search(ch, cfg)
+            if ch.mu != 0.5:
+                return res
+            return dataclasses.replace(res, entropy_bits=res.entropy_bits - 1e-6)
+        monkeypatch.setattr(analysis, "minimize_full", below_at_half)
+        path = write_cfg(tmp_path, outputs="csv")
+        assert main(["sweep", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "mu_c=0.559581\n"
+        warnings = [l for l in err.splitlines() if l.startswith("warning:")]
+        assert len(warnings) == 1 and "mu=0.5 " in warnings[0]
 
     def test_pure_output_prints_positive_zero(self, tmp_path, capsys):
         # at mu = 1 the maximally entangled input has a pure output

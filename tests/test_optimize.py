@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import pauli_channels_at_mu
 from corrchan import (CorrelatedChannel, KrausChannel, MinEntropyResult,
                       OptimizerConfig, ansatz_output_matrix, apply_correlated,
                       apply_phi, minimize_ansatz, minimize_full, objective,
-                      oracle_sample, pauli_channel, pauli_column_probs,
+                      oracle_sample, pauli_column_probs,
                       qubit_ixz_channel, symmetric_pauli_channel,
                       von_neumann_entropy)
 from corrchan.optimize import _ansatz_objective, _full_objective
@@ -43,19 +43,6 @@ class TestObjective:
         from corrchan.states import random_pure_state
         psi = random_pure_state(4, rng)
         assert objective(ch, psi) <= 1e-10
-
-
-@st.composite
-def pauli_channels_at_mu(draw, symmetric):
-    """A Pauli channel with d = 2-4 and every word weighted (all columns
-    alike when symmetric), at a random mu, and a random generator."""
-    d = draw(st.integers(2, 4))
-    n = d if symmetric else d * d
-    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
-    base = (symmetric_pauli_channel(d, w / (d * w.sum())) if symmetric
-            else pauli_channel(d, w / w.sum()))
-    ch = CorrelatedChannel(base=base, mu=draw(st.floats(0.0, 1.0)))
-    return ch, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
 
 def assert_gradient_matches_differences(func, x, h=1e-6):
@@ -177,6 +164,14 @@ class TestMinimizeAnsatz:
         ch = CorrelatedChannel(base=QUTRIT, mu=1.0)
         res = minimize_ansatz(ch, OptimizerConfig(restarts=1, mode="ansatz"))
         assert res.entropy_bits == 0.0 and res.converged
+
+    def test_entanglement_tie_goes_to_lower_entropy(self):
+        # at mu = 1 every end point has entanglement log2 3 up to rounding;
+        # the exact zero must win over an end point at 5.8e-13 (seed 11)
+        ch = CorrelatedChannel(base=QUTRIT, mu=1.0)
+        for restarts in (1, 6, 16):
+            cfg = OptimizerConfig(restarts=restarts, seed=11, mode="ansatz")
+            assert minimize_ansatz(ch, cfg).entropy_bits == 0.0
 
     def test_agrees_with_full_search(self):
         for mu in (0.1, 0.5, 0.9):
