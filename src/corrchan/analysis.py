@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channels import (CorrelatedChannel, KrausChannel, PauliOperatorSet,
                        _apply_pure, apply_correlated)
@@ -148,6 +147,7 @@ def detect_transition(ch_base: KrausChannel,
 
     for lo, hi in zip(entries, entries[1:]):
         if lo.s_me_bits >= lo.s_sep_bits and hi.s_me_bits < hi.s_sep_bits:
+            from scipy.optimize import brentq  # loaded here, not at import
             return float(brentq(gap, lo.mu, hi.mu, xtol=1e-12))
     return None
 

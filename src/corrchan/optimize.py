@@ -25,6 +25,9 @@ wherever the output has full rank (Lewis, Math. Oper. Res. 21, 1996), with
 dS/d psi* = E^dag(G) psi for G = -log2 E(|psi><psi|) and E^dag the
 CorrelatedChannel.adjoint. Eigenvalues at or below TOL.spectral_floor count
 as zero in S and take a finite weight in G (linalg._entropy_weights).
+
+scipy is imported at the first search (_scipy_minimize), not with this
+module: oracle_sample and the closed forms need numpy alone.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .channels import (CorrelatedChannel, _apply_pure, apply_correlated,
                        apply_correlated_pure, pauli_column_probs)
@@ -185,6 +187,15 @@ def _ansatz_objective(p: np.ndarray, mu: float) -> Callable:
         spectrum = np.concatenate([w, diag[~np.eye(d, dtype=bool)]])
         return float(_spectral_entropy(spectrum)), h
     return _on_sphere(value_and_h)
+
+
+def _scipy_minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported when a search first runs: loading
+    scipy.optimize is most of the package's import time and memory, and
+    only the searches need it. bench/worker.py patches this name to trace
+    each local search."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 def _multistart(func: Callable, starts: list[np.ndarray],

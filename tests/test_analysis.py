@@ -8,10 +8,10 @@ from corrchan import (CorrelatedChannel, KrausChannel, OptimizerConfig,
                       analysis, analytic_estimates, apply_correlated,
                       check_theorem, detect_transition, estimate_mu_c_crossing,
                       fidelity_pure, haar_random_unitary, linear_entropy,
-                      max_entangled, minimize_full, mutual_information_i2,
-                      objective, pauli_operator_set, qubit_ixz_channel, sweep,
-                      symmetric_pauli_channel, verify_covariance,
-                      verify_schur_average)
+                      max_entangled, minimize_ansatz, minimize_full,
+                      mutual_information_i2, objective, pauli_operator_set,
+                      qubit_ixz_channel, sweep, symmetric_pauli_channel,
+                      verify_covariance, verify_schur_average)
 from corrchan.analysis import SweepEntry, _basin_entropies, _basin_inputs
 from corrchan.states import basis_separable, entanglement_of, random_pure_state
 
@@ -278,6 +278,26 @@ class TestSweepAndTransition:
         result = sweep(QUBIT, grid, OptimizerConfig(restarts=1, seed=42))
         assert searched == list(grid)
         assert abs(result.mu_c - QUBIT_MU_C) < 1e-9
+
+    def test_ququart_searches_agree_with_basin_curves(self):
+        # d = 4 column weights; the basin curves cross between mu = 0.2
+        # and 0.3, and on both sides the full search, the band search and
+        # the better basin curve give the same minimum
+        w = np.random.default_rng(7).random(4)
+        base = symmetric_pauli_channel(4, w / (4 * w.sum()))
+        grid = [0.1, 0.2, 0.3, 0.5, 0.9]
+        result = sweep(base, grid, OptimizerConfig(restarts=4, seed=7))
+        assert 0.2 < result.mu_c < 0.3
+        band = OptimizerConfig(restarts=4, seed=7, mode="ansatz")
+        for e in result.entries:
+            basin = min(e.s_me_bits, e.s_sep_bits)
+            res = minimize_ansatz(CorrelatedChannel(base=base, mu=e.mu), band)
+            assert abs(e.min_entropy_bits - basin) <= 1e-9
+            assert abs(res.entropy_bits - basin) <= 1e-9
+            # separable below the crossing, maximally entangled above it
+            want = 0.0 if e.mu < result.mu_c else 2.0
+            assert abs(e.entanglement_bits - want) <= 1e-6
+            assert abs(res.entanglement_bits - want) <= 1e-6
 
     def test_sweep_validates_grid(self):
         cfg = OptimizerConfig(restarts=2, seed=7, mode="full")

@@ -6,7 +6,7 @@ from conftest import pauli_channels_at_mu
 from corrchan import (CorrelatedChannel, KrausChannel, MinEntropyResult,
                       OptimizerConfig, ansatz_output_matrix, apply_correlated,
                       apply_phi, minimize_ansatz, minimize_full, objective,
-                      oracle_sample, pauli_column_probs,
+                      optimize, oracle_sample, pauli_column_probs,
                       qubit_ixz_channel, symmetric_pauli_channel,
                       von_neumann_entropy)
 from corrchan.optimize import _ansatz_objective, _full_objective
@@ -138,6 +138,25 @@ class TestMinimizeFull:
         ch = CorrelatedChannel(base=QUBIT, mu=0.5)
         with pytest.raises(ValueError, match="mode"):
             minimize_full(ch, FAST_ANSATZ)
+
+    def test_local_searches_go_through_the_seam(self, monkeypatch):
+        # bench/worker.py traces each local search by patching
+        # optimize._scipy_minimize, so every start must pass through it
+        ch = CorrelatedChannel(base=QUBIT, mu=0.5)
+        cfg = OptimizerConfig(restarts=1, seed=42, mode="full")
+        plain = minimize_full(ch, cfg)
+        starts = []
+        original = optimize._scipy_minimize
+
+        def counted(func, x0, **kwargs):
+            starts.append(x0)
+            return original(func, x0, **kwargs)
+        monkeypatch.setattr(optimize, "_scipy_minimize", counted)
+        res = minimize_full(ch, cfg)
+        assert len(starts) == 3
+        assert np.array_equal(starts[0], params_of(max_entangled(2)))
+        assert np.array_equal(starts[1], params_of(basis_separable(2, 0, 0)))
+        assert res.entropy_bits == plain.entropy_bits
 
     def test_result_ranges(self):
         ch = CorrelatedChannel(base=QUBIT, mu=0.3)

@@ -1,8 +1,12 @@
 """Guards on the package surface: every export resolves, retired names stay
-retired, and no module imports a name it never uses."""
+retired, no module imports a name it never uses, and scipy stays off every
+path that runs no search."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,41 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+# Run in a fresh interpreter: prints, after each step, whether scipy.optimize
+# has been imported yet.
+SCIPY_PROBE = """
+import contextlib, io, json, sys, tempfile
+loaded = {}
+def mark(step):
+    loaded[step] = "scipy.optimize" in sys.modules
+import corrchan
+from corrchan import cli
+mark("import")
+with tempfile.TemporaryDirectory() as out:
+    for command in ("check", "estimate"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", sys.argv[1], "--out", out])
+        assert code == 0, command
+        mark(command)
+ch = corrchan.CorrelatedChannel(base=corrchan.qubit_ixz_channel(0.3, 0.2, 0.5),
+                                mu=0.5)
+corrchan.oracle_sample(ch, 1000, seed=1)
+mark("oracle_sample")
+corrchan.check_theorem(ch.base)
+mark("check_theorem")
+corrchan.sweep(ch.base, [0.0, 1.0], corrchan.OptimizerConfig(restarts=1))
+mark("sweep")
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_at_the_first_search():
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "qutrit_symmetric.cfg"
+    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(cfg)],
+                         capture_output=True, text=True, check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == {"import": False, "check": False, "estimate": False,
+                      "oracle_sample": False, "check_theorem": False,
+                      "sweep": True}
