@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (CorrelatedChannel, KrausChannel, PauliOperatorSet,
-                       _apply_pure, apply_correlated)
-from .linalg import _spectral_entropy, tensor
-from .optimize import (MinEntropyResult, OptimizerConfig, minimize_ansatz,
-                       minimize_full)
+                       _check_column_probs, apply_correlated)
+from .linalg import tensor
+from .optimize import (MinEntropyResult, OptimizerConfig, _output_entropies,
+                       minimize_ansatz, minimize_full)
 from .states import max_entangled
 
 
@@ -44,11 +44,9 @@ class SweepResult:
     mu_c: float | None
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.mu_grid, dtype=float)
-        if grid.ndim != 1 or len(grid) != len(self.entries):
+        grid = _check_grid(self.mu_grid)
+        if len(grid) != len(self.entries):
             raise ValueError("entries must align 1:1 with the grid")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("mu grid must be strictly increasing")
         if self.mu_c is not None and not grid[0] <= self.mu_c <= grid[-1]:
             raise ValueError("mu_c must lie inside the grid")
         object.__setattr__(self, "mu_grid", grid)
@@ -87,6 +85,17 @@ class AnalyticEstimates:
     mu_cross: float | None
 
 
+def _check_grid(mu_grid: Sequence[float]) -> np.ndarray:
+    """The one rule for a mu grid: 1-D, at least two points, strictly
+    increasing and inside [0, 1]; the tests are written so that NaN fails."""
+    grid = np.asarray(mu_grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise ValueError("mu grid needs at least two points")
+    if not (np.all(np.diff(grid) > 0.0) and grid[0] >= 0.0 and grid[-1] <= 1.0):
+        raise ValueError("mu grid must increase strictly inside [0, 1]")
+    return grid
+
+
 def minimize_entropy(ch: CorrelatedChannel,
                      cfg: OptimizerConfig) -> MinEntropyResult:
     """Run the search that cfg.mode selects: minimize_full or minimize_ansatz."""
@@ -99,11 +108,7 @@ def sweep(ch_base: KrausChannel, mu_grid: Sequence[float],
           cfg: OptimizerConfig) -> SweepResult:
     """Minimise output entropy at every grid value of mu, certifying the
     basin curves there, and locate where they cross (detect_transition)."""
-    grid = np.asarray(mu_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("mu grid needs at least two points")
-    if grid.min() < 0.0 or grid.max() > 1.0:
-        raise ValueError("mu grid must lie in [0, 1]")
+    grid = _check_grid(mu_grid)
     entries = []
     for mu in grid:
         ch = CorrelatedChannel(base=ch_base, mu=float(mu))
@@ -132,8 +137,7 @@ def _basin_inputs(d: int) -> np.ndarray:
 def _basin_entropies(ch: CorrelatedChannel) -> np.ndarray:
     """Output entropies of the _basin_inputs in one stacked call: entry 0
     is S_me, the least of the rest S_sep."""
-    rho = _apply_pure(ch, _basin_inputs(ch.base.dim))
-    return _spectral_entropy(np.linalg.eigvalsh(rho))
+    return _output_entropies(ch, _basin_inputs(ch.base.dim))
 
 
 def detect_transition(ch_base: KrausChannel,
@@ -259,17 +263,6 @@ def _r_curves(d: int, p: np.ndarray):
     return r_me, r_s
 
 
-def _validate_column_probs(d: int, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (d,):
-        raise ValueError(f"expected {d} column probabilities")
-    if p.min() < 0.0:
-        raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0 / d) > 1e-10:
-        raise ValueError("column probabilities must sum to 1/d")
-    return p
-
-
 def estimate_mu_c_crossing(d: int, p) -> float | None:
     """Transition estimate: where the two linearized entropies cross.
 
@@ -279,7 +272,7 @@ def estimate_mu_c_crossing(d: int, p) -> float | None:
     (0, 1) exactly when g(0) > 0 > g(1), and then at one simple root,
     returned in closed form. None when the curves never cross.
     """
-    p = _validate_column_probs(d, p)
+    p = _check_column_probs(d, p)
     r_me, r_s = _r_curves(d, p)
     g0, g_half, g1 = (r_me(mu) - r_s(mu) for mu in (0.0, 0.5, 1.0))
     if not g0 > 0.0 > g1:
@@ -308,7 +301,7 @@ def analytic_estimates(d: int, p, mu: float) -> AnalyticEstimates:
     with C[m, n] = sum_i p[m+i] p[n+i]. The exposed c_matrix is d * C, the
     trace-normalised outcome distribution (entries sum to 1).
     """
-    p = _validate_column_probs(d, p)
+    p = _check_column_probs(d, p)
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
     c = _correlation_matrix(p)

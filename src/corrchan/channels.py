@@ -14,7 +14,10 @@ mu in [0, 1]:
     phi_c(rho) = sum_a p_a (U_a x conj(U_a)) rho (U_a x conj(U_a))^dag
 
 The generalized (shift-and-phase) Pauli operators and the channels built
-from them are provided as presets.
+from them are provided as presets. Every probability vector obeys one
+rule, _check_probs, which KrausChannel applies: entries >= 0 summing to 1
+within TOL.trace (1/d for the d column values of a column-symmetric
+channel), with NaN failing.
 
 Every preset's U_a is, up to a phase, a Weyl word W_mn |k> = xi^(k n)
 |k + m>, which makes E a Pauli channel on the pair: with Q its two-qudit
@@ -58,10 +61,7 @@ class KrausChannel:
             raise ValueError("operator shape does not match channel dimension")
         if len(ops) != len(probs) or len(ops) < 1:
             raise ValueError("ops and probs must have equal length >= 1")
-        if probs.min() < 0.0:
-            raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > TOL.trace:
-            raise ValueError("probabilities must sum to 1")
+        _check_probs(probs)
         eye = np.eye(d)
         for u in ops:
             if np.abs(u.conj().T @ u - eye).max() > TOL.unitarity:
@@ -155,6 +155,24 @@ class CorrelatedChannel:
         perm = (np.arange(d * d) * d * d + sub.T).ravel()
         blocks = np.moveaxis(q.reshape(d * d, d * d)[sub], 2, 0)
         return perm, np.argsort(perm), np.ascontiguousarray(blocks)
+
+
+def _check_probs(p: np.ndarray, d: int = 1) -> np.ndarray:
+    """The package's one probability rule: entries >= 0 summing to 1/d within
+    TOL.trace; both tests are written so that NaN fails them."""
+    if not np.all(p >= 0.0):
+        raise ValueError("probabilities must be nonnegative")
+    if not abs(p.sum() - 1.0 / d) <= TOL.trace:
+        raise ValueError("probabilities must sum to " + ("1/d" if d > 1 else "1"))
+    return p
+
+
+def _check_column_probs(d: int, column_probs) -> np.ndarray:
+    """The d column values p_m of a column-symmetric Pauli channel."""
+    p = np.asarray(column_probs, dtype=float)
+    if p.shape != (d,):
+        raise ValueError(f"expected {d} column probabilities")
+    return _check_probs(p, d)
 
 
 def _check_dim(expected: int, rho: np.ndarray) -> np.ndarray:
@@ -262,13 +280,8 @@ def pauli_channel(d: int, probs) -> KrausChannel:
     length-d^2 sequence in the same order.
     """
     pauli = pauli_operator_set(d)
-    p = np.asarray(probs, dtype=float).reshape(d, d)
-    if p.min() < 0.0:
-        raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > TOL.trace:
-        raise ValueError("probabilities must sum to 1")
     return KrausChannel(dim=d, ops=pauli.ops.reshape(d * d, d, d),
-                        probs=p.reshape(-1))
+                        probs=np.asarray(probs, dtype=float).reshape(d * d))
 
 
 def symmetric_pauli_channel(d: int, column_probs) -> KrausChannel:
@@ -277,11 +290,7 @@ def symmetric_pauli_channel(d: int, column_probs) -> KrausChannel:
     column_probs supplies the d values p_m; they must sum to 1/d so the
     full d^2 error matrix is normalised.
     """
-    p = np.asarray(column_probs, dtype=float)
-    if p.shape != (d,):
-        raise ValueError(f"expected {d} column probabilities")
-    if abs(p.sum() - 1.0 / d) > TOL.trace:
-        raise ValueError("column probabilities must sum to 1/d")
+    p = _check_column_probs(d, column_probs)
     return pauli_channel(d, np.repeat(p[:, None], d, axis=1))
 
 
@@ -301,12 +310,11 @@ def pauli_column_probs(ch: KrausChannel) -> np.ndarray:
     return p[:, 0].copy()
 
 
-def _null_space_within(a: np.ndarray, basis: np.ndarray,
-                       tol: float) -> np.ndarray:
+def _null_space_within(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of {v in span(basis) : a v = 0}, possibly empty."""
     m = a @ basis
     _, s, vh = np.linalg.svd(m)
-    rank = int((s > tol).sum()) if s.size else 0
+    rank = int((s > 1e-9).sum()) if s.size else 0
     null = vh[rank:].conj().T
     if null.shape[1] == 0:
         return np.zeros((basis.shape[0], 0), dtype=complex)
@@ -314,14 +322,13 @@ def _null_space_within(a: np.ndarray, basis: np.ndarray,
     return q
 
 
-def joint_invariant_state(ops, gap: float = 1e-8,
-                          tol: float = 1e-9) -> np.ndarray | None:
+def joint_invariant_state(ops) -> np.ndarray | None:
     """A unit vector invariant modulo a phase under every operator, or None.
 
     Intersects the invariant-modulo-phase subspaces of the given unitaries
     by recursive eigenspace refinement: eigendecompose the first operator,
     project the next into each eigenspace, refine, and continue until all
-    subspaces die or one survives. Eigenvalues closer than `gap` are
+    subspaces die or one survives. Eigenvalues closer than 1e-8 are
     grouped into a single degenerate eigenspace; membership is decided
     through projected null spaces so phases are never tracked explicitly.
     """
@@ -336,10 +343,10 @@ def joint_invariant_state(ops, gap: float = 1e-8,
             compressed = basis.conj().T @ a @ basis
             unique: list[complex] = []
             for lam in np.linalg.eigvals(compressed):
-                if not any(abs(lam - known) < gap for known in unique):
+                if not any(abs(lam - known) < 1e-8 for known in unique):
                     unique.append(lam)
             for lam in unique:
-                sub = _null_space_within(a - lam * np.eye(dim), basis, tol)
+                sub = _null_space_within(a - lam * np.eye(dim), basis)
                 if sub.shape[1] > 0:
                     refined.append(sub)
         subspaces = refined
@@ -384,10 +391,6 @@ def qubit_ixz_channel(p: float, q: float, r: float) -> KrausChannel:
     p, q, r; p + q + r must equal 1.
     """
     probs = np.array([p, q, r], dtype=float)
-    if probs.min() < 0.0:
-        raise ValueError("probabilities must be nonnegative")
-    if abs(probs.sum() - 1.0) > TOL.trace:
-        raise ValueError("probabilities must sum to 1")
     ident = np.eye(2, dtype=complex)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)

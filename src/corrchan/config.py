@@ -14,7 +14,7 @@ import numpy as np
 
 from .channels import (KrausChannel, pauli_channel, qubit_ixz_channel,
                        symmetric_pauli_channel)
-from .optimize import MODES, OptimizerConfig
+from .optimize import OptimizerConfig
 
 CHANNEL_KINDS = ("qubit_ixz", "pauli_symmetric", "pauli_general")
 
@@ -50,10 +50,6 @@ class ExperimentConfig:
             raise ConfigError("mu grid must satisfy 0 <= start < end <= 1")
         if self.mu_points < 2:
             raise ConfigError("mu_points must be at least 2")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
-        if any(p < 0 for p in self.probs):
-            raise ConfigError("probabilities must be nonnegative")
         if not self.outputs <= {"csv", "svg"}:
             raise ConfigError("outputs may only contain csv and svg")
         n_expected = {"qubit_ixz": 3, "pauli_symmetric": self.dim,
@@ -62,6 +58,10 @@ class ExperimentConfig:
             raise ConfigError(f"channel '{self.channel}' with dim={self.dim} "
                               f"needs {n_expected} probabilities, "
                               f"got {len(self.probs)}")
+        try:
+            self.optimizer_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def mu_grid(self) -> np.ndarray:
         return np.linspace(self.mu_start, self.mu_end, self.mu_points)
@@ -129,28 +129,28 @@ def build_channel(cfg: ExperimentConfig) -> KrausChannel:
     (then exact renormalisation absorbs decimal rounding). For
     pauli_symmetric the d column values target 1/d; values off by more
     than 1e-6 but within 20% are rescaled with a warning, which absorbs
-    truncated published decimals.
+    truncated published decimals. A negative or NaN entry is a ConfigError.
     """
     p = np.asarray(cfg.probs, dtype=float)
-    if cfg.channel == "qubit_ixz":
-        s = p.sum()
-        if abs(s - 1.0) > 1e-6:
-            raise ConfigError(f"qubit_ixz probabilities sum to {s:.6g}, not 1")
-        p = p / s
-        return qubit_ixz_channel(*p)
-    if cfg.channel == "pauli_general":
-        s = p.sum()
-        if abs(s - 1.0) > 1e-6:
-            raise ConfigError(f"pauli_general probabilities sum to {s:.6g}, not 1")
-        return pauli_channel(cfg.dim, p / s)
-    # pauli_symmetric
-    d = cfg.dim
-    target = 1.0 / d
     s = p.sum()
-    if s <= 0 or abs(s - target) > 0.2 * target:
-        raise ConfigError(f"pauli_symmetric column probabilities sum to "
-                          f"{s:.6g}; expected about 1/{d}")
-    if abs(s - target) > 1e-6:
-        print(f"warning: rescaling column probabilities by {target / s:.8g} "
-              f"so they sum to 1/{d}", file=sys.stderr)
-    return symmetric_pauli_channel(d, p * (target / s))
+    if cfg.channel == "pauli_symmetric":
+        target = 1.0 / cfg.dim
+        if not abs(s - target) <= 0.2 * target:
+            raise ConfigError(f"pauli_symmetric column probabilities sum to "
+                              f"{s:.6g}; expected about 1/{cfg.dim}")
+        if abs(s - target) > 1e-6:
+            print(f"warning: rescaling column probabilities by {target / s:.8g} "
+                  f"so they sum to 1/{cfg.dim}", file=sys.stderr)
+        p = p * (target / s)
+    elif not abs(s - 1.0) <= 1e-6:
+        raise ConfigError(f"{cfg.channel} probabilities sum to {s:.6g}, not 1")
+    else:
+        p = p / s
+    try:
+        if cfg.channel == "qubit_ixz":
+            return qubit_ixz_channel(*p)
+        if cfg.channel == "pauli_general":
+            return pauli_channel(cfg.dim, p)
+        return symmetric_pauli_channel(cfg.dim, p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

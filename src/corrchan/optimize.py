@@ -63,11 +63,11 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.restarts is not None and self.restarts < 1:
+        if self.restarts is not None and not self.restarts >= 1:
             raise ValueError("restarts must be >= 1")
-        if self.ftol <= 0:
+        if not self.ftol > 0:
             raise ValueError("ftol must be positive")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
 
     def resolved_restarts(self) -> int:
@@ -95,6 +95,12 @@ def objective(ch: CorrelatedChannel, psi: np.ndarray) -> float:
     """Output entropy in bits of the channel on the pure input psi."""
     rho = apply_correlated_pure(ch, psi)
     return entropy_of_spectrum(np.linalg.eigvalsh(rho))
+
+
+def _output_entropies(ch: CorrelatedChannel, psis: np.ndarray) -> np.ndarray:
+    """Unchecked output entropies in bits of pure inputs (B, D), stacked: for
+    oracle_sample's batches and analysis's basin curves."""
+    return _spectral_entropy(np.linalg.eigvalsh(_apply_pure(ch, psis)))
 
 
 def _ansatz_parts(column_probs: np.ndarray,
@@ -296,11 +302,8 @@ def oracle_sample(ch: CorrelatedChannel, n_samples: int,
     seeds = [max_entangled(d)]
     seeds += [basis_separable(d, i, j) for i in range(d) for j in range(d)]
 
-    def eval_batch(batch: np.ndarray) -> np.ndarray:
-        return _spectral_entropy(np.linalg.eigvalsh(_apply_pure(ch, batch)))
-
     batch = np.stack(seeds)
-    ent = eval_batch(batch)
+    ent = _output_entropies(ch, batch)
     i = int(np.argmin(ent))
     best_entropy, best_state = float(ent[i]), batch[i]
 
@@ -312,7 +315,7 @@ def oracle_sample(ch: CorrelatedChannel, n_samples: int,
         remaining -= m
         batch = rng.standard_normal((m, big_d)) + 1j * rng.standard_normal((m, big_d))
         batch /= np.linalg.norm(batch, axis=1)[:, None]
-        ent = eval_batch(batch)
+        ent = _output_entropies(ch, batch)
         i = int(np.argmin(ent))
         if ent[i] < best_entropy:
             best_entropy, best_state = float(ent[i]), batch[i]

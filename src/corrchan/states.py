@@ -53,9 +53,10 @@ def from_params(coords: np.ndarray, dim: int) -> np.ndarray:
     """Map 2*dim real parameters (interleaved re/im) to a normalised state.
 
     The global phase is fixed by rotating the largest-magnitude amplitude
-    onto the nonnegative real axis, which removes one flat direction from
-    optimizer searches. Scaling coords by any positive constant gives the
-    same state.
+    onto the nonnegative real axis. Searches run on raw parameters
+    (optimize._on_sphere); the gauge makes each decoded end point canonical,
+    which keeps sweep.csv amplitudes reproducible. Scaling coords by any
+    positive constant gives the same state.
     """
     coords = np.asarray(coords, dtype=float).ravel()
     if coords.size != 2 * dim:

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from conftest import (pauli_channels_at_mu, random_density_matrix,
                       symmetric_column_probs)
 from corrchan import (CorrelatedChannel, KrausChannel, OptimizerConfig,
+                      SweepResult,
                       analysis, analytic_estimates, apply_correlated,
                       check_theorem, detect_transition, estimate_mu_c_crossing,
                       fidelity_pure, haar_random_unitary, linear_entropy,
@@ -299,12 +300,27 @@ class TestSweepAndTransition:
             assert abs(e.entanglement_bits - want) <= 1e-6
             assert abs(res.entanglement_bits - want) <= 1e-6
 
-    def test_sweep_validates_grid(self):
+    def test_sweep_validates_grid(self, monkeypatch):
+        searched = []
+
+        def counted(ch, cfg):
+            searched.append(ch.mu)
+            return minimize_full(ch, cfg)
+        monkeypatch.setattr(analysis, "minimize_full", counted)
         cfg = OptimizerConfig(restarts=2, seed=7, mode="full")
         with pytest.raises(ValueError, match="two points"):
             sweep(QUBIT, [0.5], cfg)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             sweep(QUBIT, [0.0, 1.2], cfg)
+        # a bad grid is rejected before the first search
+        for grid in ([0.9, 0.6, 0.3, 0.0], [0.0, np.nan, 1.0]):
+            with pytest.raises(ValueError, match="increase strictly"):
+                sweep(QUBIT, grid, cfg)
+        assert searched == []
+        # and a SweepResult holds to the same rule
+        entries = curve_entries(QUBIT, [0.0, 1.0])
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            SweepResult(mu_grid=[0.0, 1.5], entries=entries, mu_c=None)
 
 
 def curve_entries(base, grid):

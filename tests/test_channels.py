@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import (random_density_matrix, random_hermitian,
                       symmetric_column_probs)
-from corrchan import (CorrelatedChannel, KrausChannel, apply_correlated,
-                      apply_correlated_pure, apply_phi, apply_phi_c,
-                      haar_random_unitary, pauli_channel, pauli_column_probs,
+from corrchan import (CorrelatedChannel, KrausChannel, analytic_estimates,
+                      apply_correlated, apply_correlated_pure, apply_phi,
+                      apply_phi_c, estimate_mu_c_crossing, haar_random_unitary,
+                      pauli_channel, pauli_column_probs,
                       pauli_identity_residuals, pauli_operator_set,
                       entropy_of_spectrum, qubit_ixz_channel,
                       symmetric_pauli_channel, tensor, von_neumann_entropy)
@@ -41,7 +42,43 @@ def brute_force_correlated(ch, rho):
     return out
 
 
+@st.composite
+def bad_probs(draw, n, total, kind):
+    """n entries that sum to total, broken by kind: one entry NaN, one entry
+    negative with the sum kept, or every entry scaled so the sum is off."""
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    p = w * (total / w.sum())
+    i = draw(st.integers(0, n - 1))
+    if kind == "nan":
+        p[i] = np.nan
+    elif kind == "negative":
+        shift = p[i] + draw(st.floats(1e-9, 1.0))
+        p[i] -= shift
+        p[(i + 1) % n] += shift
+    else:
+        p *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-6, 0.5))
+    return p
+
+
 class TestKrausChannelValidation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.sampled_from(["nan", "negative", "sum"]),
+           st.data())
+    def test_every_probability_taker_rejects_a_bad_vector(self, d, kind, data):
+        # the six functions that take probabilities share one rule
+        def bad(n, total):
+            return data.draw(bad_probs(n, total, kind))
+        ops = pauli_operator_set(d).ops.reshape(d * d, d, d)
+        for call in (
+                lambda: KrausChannel(dim=d, ops=ops, probs=bad(d * d, 1.0)),
+                lambda: pauli_channel(d, bad(d * d, 1.0)),
+                lambda: qubit_ixz_channel(*bad(3, 1.0)),
+                lambda: symmetric_pauli_channel(d, bad(d, 1.0 / d)),
+                lambda: analytic_estimates(d, bad(d, 1.0 / d), 0.5),
+                lambda: estimate_mu_c_crossing(d, bad(d, 1.0 / d))):
+            with pytest.raises(ValueError, match="probabilities must"):
+                call()
+
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError, match="unitary"):
             KrausChannel(dim=2, ops=np.array([[[1, 0], [0, 0.5]]]), probs=[1.0])

@@ -83,6 +83,18 @@ class TestConfigParsing:
         assert abs(ch.probs.sum() - 1.0) < 1e-12
         assert "rescaling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("channel,dim,probs", [
+        ("qubit_ixz", 2, "-0.1,0.6,0.5"),
+        ("pauli_general", 2, "0.5,0.6,-0.1,0"),
+        ("pauli_symmetric", 2, "0.6,-0.1")])
+    def test_build_channel_rejects_negative_entry(self, tmp_path, channel, dim,
+                                                  probs):
+        cfg = load_config(write_cfg(tmp_path, channel=channel, dim=dim,
+                                    probs=probs))
+        cfg.validate()
+        with pytest.raises(ConfigError, match="nonnegative"):
+            build_channel(cfg)
+
     def test_pauli_symmetric_rejects_garbage_sum(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, dim=3, channel="pauli_symmetric",
                                     probs="0.3,0.3,0.3", mode="ansatz"))
@@ -112,6 +124,18 @@ class TestExitCodes:
         path = write_cfg(tmp_path, mode="real_ansatz")
         assert main(["sweep", "--config", str(path)]) == 2
         assert "mode must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "check"])
+    @pytest.mark.parametrize("setting", [
+        {"restarts": 0}, {"ftol": 0}, {"ftol": "nan"}, {"max_iters": 0},
+        {"probs": "nan,0.5,0.5"},
+        {"dim": 3, "channel": "pauli_symmetric", "probs": "nan,0.1,0.1"},
+    ], ids=["restarts=0", "ftol=0", "ftol=nan", "max_iters=0", "qubit-nan",
+            "qutrit-nan"])
+    def test_invalid_setting(self, tmp_path, capsys, command, setting):
+        path = write_cfg(tmp_path, **setting)
+        assert main([command, "--config", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_retired_real_ansatz_mode_flag(self, tmp_path, capsys):
         path = write_cfg(tmp_path)

@@ -292,3 +292,7 @@ class TestOptimizerConfig:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(ftol=0.0)
+        with pytest.raises(ValueError, match="ftol"):
+            OptimizerConfig(ftol=float("nan"))
+        with pytest.raises(ValueError, match="max_iters"):
+            OptimizerConfig(max_iters=0)
