@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (CorrelatedChannel, KrausChannel, PauliOperatorSet,
-                       _check_column_probs, apply_correlated)
-from .linalg import tensor
+                       _check_column_probs, _check_mu, apply_correlated)
 from .optimize import (MinEntropyResult, OptimizerConfig, _output_entropies,
                        minimize_ansatz, minimize_full)
 from .states import max_entangled
@@ -195,6 +194,16 @@ def mutual_information_i2(ch: CorrelatedChannel, s_min_bits: float) -> float:
     return float(cap - s_min_bits)
 
 
+def _twirl(ch: CorrelatedChannel, rho: np.ndarray,
+           pauli: PauliOperatorSet) -> tuple[np.ndarray, np.ndarray]:
+    """The d^4 conjugators W = U_a x conj(U_b), stacked in row-major (a, b)
+    order, and E(W rho W^dag) for each, from one stacked channel call."""
+    d = pauli.dim
+    flat = pauli.ops.reshape(d * d, d, d)
+    w = np.einsum("aij,bkl->abikjl", flat, flat.conj()).reshape(-1, d * d, d * d)
+    return w, apply_correlated(ch, w @ rho @ w.conj().swapaxes(1, 2))
+
+
 def verify_covariance(ch: CorrelatedChannel, rho: np.ndarray,
                       pauli: PauliOperatorSet) -> float:
     """Max residual of E(W rho W^dag) = W E(rho) W^dag over W = U_a x conj(U_b).
@@ -203,18 +212,9 @@ def verify_covariance(ch: CorrelatedChannel, rho: np.ndarray,
     the shift-and-phase set modulo phases, which holds for every Pauli-word
     channel.
     """
-    d = pauli.dim
-    rho = np.asarray(rho, dtype=complex)
-    out = apply_correlated(ch, rho)
-    worst = 0.0
-    flat = pauli.ops.reshape(d * d, d, d)
-    for ua in flat:
-        for ub in flat:
-            w = tensor(ua, ub.conj())
-            lhs = apply_correlated(ch, w @ rho @ w.conj().T)
-            rhs = w @ out @ w.conj().T
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    w, lhs = _twirl(ch, rho, pauli)
+    rhs = w @ apply_correlated(ch, rho) @ w.conj().swapaxes(1, 2)
+    return float(np.abs(lhs - rhs).max())
 
 
 def verify_schur_average(ch: CorrelatedChannel, rho: np.ndarray,
@@ -226,16 +226,9 @@ def verify_schur_average(ch: CorrelatedChannel, rho: np.ndarray,
     this is the irreducibility property that makes the capacity bound
     attainable.
     """
-    d = pauli.dim
-    rho = np.asarray(rho, dtype=complex)
-    flat = pauli.ops.reshape(d * d, d, d)
-    acc = np.zeros((d * d, d * d), dtype=complex)
-    for ua in flat:
-        for ub in flat:
-            w = tensor(ua, ub.conj())
-            acc += apply_correlated(ch, w @ rho @ w.conj().T)
-    acc /= float(len(flat) ** 2)
-    return float(np.abs(acc - np.eye(d * d) / (d * d)).max())
+    _, out = _twirl(ch, rho, pauli)
+    big_d = out.shape[-1]
+    return float(np.abs(out.mean(axis=0) - np.eye(big_d) / big_d).max())
 
 
 def _correlation_matrix(p: np.ndarray) -> np.ndarray:
@@ -302,8 +295,7 @@ def analytic_estimates(d: int, p, mu: float) -> AnalyticEstimates:
     trace-normalised outcome distribution (entries sum to 1).
     """
     p = _check_column_probs(d, p)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
+    mu = _check_mu(mu)
     c = _correlation_matrix(p)
     f_me = float(mu + (1 - mu) * d * (p ** 2).sum())
     f_s = float((1 - mu) * d ** 2 * p[0] ** 2 + mu * d * p[0])

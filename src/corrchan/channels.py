@@ -26,7 +26,8 @@ word distribution Fourier-transformed over the phase index (indices mod d),
     E(rho)[j, j - delta] = sum_m Q[m, delta] rho[j - m, j - m - delta],
 
 one D x D circulant block per offset delta, O(D^3) per input (D = d^2).
-_apply_weyl applies every such channel; any other takes the einsums.
+_apply applies every channel, to one input or a stack: such a channel
+through these blocks, any other through the two einsums.
 """
 
 from __future__ import annotations
@@ -119,22 +120,19 @@ class CorrelatedChannel:
     mu: float
 
     def __post_init__(self) -> None:
-        mu = float(self.mu)
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", _check_mu(self.mu))
 
     @cached_property
     def adjoint(self) -> CorrelatedChannel:
         """E^dag: every U_a replaced by U_a^dag. W_mn^dag is a phase times
-        W_-m,-n, so a Weyl-word channel's adjoint takes _apply_weyl too."""
+        W_-m,-n, so a Weyl-word channel's adjoint takes the blocks too."""
         b = self.base
         return CorrelatedChannel(base=KrausChannel(
             dim=b.dim, ops=b.ops.conj().swapaxes(1, 2), probs=b.probs), mu=self.mu)
 
     @cached_property
     def _weyl_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(perm, inv, blocks) for _apply_weyl, or None for a non-Weyl base.
+        """(perm, inv, blocks) for _apply, or None for a non-Weyl base.
 
         rho.ravel()[perm] lists the offset-diagonals rho[i, i - delta] as
         rows delta, inv undoes perm, and blocks[delta, j, i] = Q[j - i, delta]
@@ -167,6 +165,14 @@ def _check_probs(p: np.ndarray, d: int = 1) -> np.ndarray:
     return p
 
 
+def _check_mu(mu) -> float:
+    """The package's one rule for mu: in [0, 1], written so that NaN fails."""
+    mu = float(mu)
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError("mu must lie in [0, 1]")
+    return mu
+
+
 def _check_column_probs(d: int, column_probs) -> np.ndarray:
     """The d column values p_m of a column-symmetric Pauli channel."""
     p = np.asarray(column_probs, dtype=float)
@@ -176,58 +182,52 @@ def _check_column_probs(d: int, column_probs) -> np.ndarray:
 
 
 def _check_dim(expected: int, rho: np.ndarray) -> np.ndarray:
+    """rho as one complex input (D, D) or a stack (B, D, D), D = expected."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (expected, expected):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (expected, expected):
         raise ValueError(f"state dimension {rho.shape} does not match channel "
                          f"dimension {expected}")
     return rho
 
 
 def apply_phi(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Single-qudit channel: sum_a p_a U_a rho U_a^dag."""
+    """Single-qudit channel sum_a p_a U_a rho U_a^dag, on (d, d) or (B, d, d)."""
     rho = _check_dim(ch.dim, rho)
-    return np.einsum("a,aip,pq,akq->ik", ch.probs, ch.ops, rho, ch.ops.conj(),
-                     optimize=True)
+    return np.einsum("a,aip,...pq,akq->...ik", ch.probs, ch.ops, rho,
+                     ch.ops.conj(), optimize=True)
 
 
 def apply_phi_c(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Fully correlated two-qudit channel: both factors suffer the same error."""
+    """phi_c: both qudits suffer the same error; on (D, D) or (B, D, D)."""
     d = ch.dim
     rho = _check_dim(d * d, rho)
-    r4 = rho.reshape(d, d, d, d)
-    out = np.einsum("a,aip,ajq,pqrs,akr,als->ijkl", ch.probs, ch.ops,
+    r4 = rho.reshape(*rho.shape[:-2], d, d, d, d)
+    out = np.einsum("a,aip,ajq,...pqrs,akr,als->...ijkl", ch.probs, ch.ops,
                     ch.ops.conj(), r4, ch.ops.conj(), ch.ops, optimize=True)
-    return out.reshape(d * d, d * d)
+    return out.reshape(rho.shape)
 
 
 def _apply_product(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """(phi x phi_star)(rho), applied factor by factor."""
+    """(phi x phi_star)(rho), factor by factor, on (D, D) or (B, D, D)."""
     d = ch.dim
-    r4 = rho.reshape(d, d, d, d)
-    half = np.einsum("a,aip,pjql,akq->ijkl", ch.probs, ch.ops, r4,
+    r4 = rho.reshape(*rho.shape[:-2], d, d, d, d)
+    half = np.einsum("a,aip,...pjql,akq->...ijkl", ch.probs, ch.ops, r4,
                      ch.ops.conj(), optimize=True)
-    out = np.einsum("b,bjq,iqks,bls->ijkl", ch.probs, ch.ops.conj(), half,
+    out = np.einsum("b,bjq,...iqks,bls->...ijkl", ch.probs, ch.ops.conj(), half,
                     ch.ops, optimize=True)
-    return out.reshape(d * d, d * d)
+    return out.reshape(rho.shape)
 
 
-def apply_correlated(ch: CorrelatedChannel, rho: np.ndarray) -> np.ndarray:
-    """Two-qudit correlated channel E = (1 - mu)(phi x phi_star) + mu phi_c."""
-    d = ch.base.dim
-    rho = _check_dim(d * d, rho)
-    if ch._weyl_blocks is not None:
-        return _apply_weyl(ch, rho)
-    return ((1.0 - ch.mu) * _apply_product(ch.base, rho)
-            + ch.mu * apply_phi_c(ch.base, rho))
+def _apply(ch: CorrelatedChannel, rho: np.ndarray) -> np.ndarray:
+    """Unchecked E(rho) for one input (D, D) or a stack of inputs (B, D, D).
 
-
-def _apply_weyl(ch: CorrelatedChannel, rho: np.ndarray) -> np.ndarray:
-    """Unchecked E(rho) for a Weyl-word channel on (D, D) or (B, D, D) input.
-
-    Gathers the D offset-diagonals of each input into one column, applies
-    the circulant block of each offset in one batched product, and
-    scatters back.
+    A Weyl-word channel gathers the D offset-diagonals of each input into
+    one column, applies the circulant block of each offset in one batched
+    product, and scatters back; any other channel takes the two einsums.
     """
+    if ch._weyl_blocks is None:
+        return ((1.0 - ch.mu) * _apply_product(ch.base, rho)
+                + ch.mu * apply_phi_c(ch.base, rho))
     perm, inv, blocks = ch._weyl_blocks
     big_d = rho.shape[-1]
     diags = rho.reshape(-1, perm.size).T.take(perm, axis=0)
@@ -235,28 +235,23 @@ def _apply_weyl(ch: CorrelatedChannel, rho: np.ndarray) -> np.ndarray:
     return out.reshape(perm.size, -1).take(inv, axis=0).T.reshape(rho.shape)
 
 
-def _apply_pure(ch: CorrelatedChannel, psi: np.ndarray) -> np.ndarray:
-    """Unchecked E(|psi><psi|) for one input (D,) or a stack of inputs (B, D).
+def apply_correlated(ch: CorrelatedChannel, rho: np.ndarray) -> np.ndarray:
+    """Two-qudit correlated channel E = (1 - mu)(phi x phi_star) + mu phi_c,
+    on one input (D, D) or a stack of inputs (B, D, D), D = d^2."""
+    return _apply(ch, _check_dim(ch.base.dim ** 2, rho))
 
-    Returns (D, D) or (B, D, D), through _apply_weyl; a channel with a
-    non-Weyl operator takes apply_correlated one projector at a time.
-    """
-    rho = psi[..., :, None] * psi[..., None, :].conj()
-    if ch._weyl_blocks is not None:
-        return _apply_weyl(ch, rho)
-    flat = [apply_correlated(ch, r) for r in rho.reshape(-1, *rho.shape[-2:])]
-    return np.stack(flat).reshape(rho.shape)
+
+def _apply_pure(ch: CorrelatedChannel, psi: np.ndarray) -> np.ndarray:
+    """Unchecked E(|psi><psi|) for one input (D,) or a stack of inputs (B, D);
+    returns (D, D) or (B, D, D)."""
+    return _apply(ch, psi[..., :, None] * psi[..., None, :].conj())
 
 
 def apply_correlated_pure(ch: CorrelatedChannel, psi: np.ndarray) -> np.ndarray:
-    """E(|psi><psi|) for a pure two-qudit input.
-
-    Algebraically identical to apply_correlated on the projector.
-    """
+    """E(|psi><psi|) for a pure two-qudit input: apply_correlated on the
+    projector."""
     psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size != ch.base.dim ** 2:
-        raise ValueError("state dimension does not match channel dimension")
-    return _apply_pure(ch, psi)
+    return apply_correlated(ch, np.outer(psi, psi.conj()))
 
 
 def pauli_operator_set(d: int) -> PauliOperatorSet:
@@ -302,7 +297,7 @@ def pauli_column_probs(ch: KrausChannel) -> np.ndarray:
     probabilities p[m, n] depend only on the shift index m.
     """
     d = ch.dim
-    if ch._weyl_words is None or np.unique(ch._weyl_words).size != d * d:
+    if ch._weyl_words is None or len(set(ch._weyl_words)) != d * d:
         raise ValueError("channel is not a generalized Pauli channel")
     p = np.bincount(ch._weyl_words, ch.probs, d * d).reshape(d, d)
     if np.abs(p - p[:, :1]).max() > 1e-12:

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import (KrausChannel, pauli_channel, qubit_ixz_channel,
-                       symmetric_pauli_channel)
+from .channels import (KrausChannel, pauli_channel, pauli_column_probs,
+                       qubit_ixz_channel, symmetric_pauli_channel)
 from .optimize import OptimizerConfig
 
 CHANNEL_KINDS = ("qubit_ixz", "pauli_symmetric", "pauli_general")
@@ -129,7 +129,8 @@ def build_channel(cfg: ExperimentConfig) -> KrausChannel:
     (then exact renormalisation absorbs decimal rounding). For
     pauli_symmetric the d column values target 1/d; values off by more
     than 1e-6 but within 20% are rescaled with a warning, which absorbs
-    truncated published decimals. A negative or NaN entry is a ConfigError.
+    truncated published decimals. A negative or NaN entry is a ConfigError,
+    as is mode=ansatz on a channel that pauli_column_probs rejects.
     """
     p = np.asarray(cfg.probs, dtype=float)
     s = p.sum()
@@ -148,9 +149,13 @@ def build_channel(cfg: ExperimentConfig) -> KrausChannel:
         p = p / s
     try:
         if cfg.channel == "qubit_ixz":
-            return qubit_ixz_channel(*p)
-        if cfg.channel == "pauli_general":
-            return pauli_channel(cfg.dim, p)
-        return symmetric_pauli_channel(cfg.dim, p)
+            ch = qubit_ixz_channel(*p)
+        elif cfg.channel == "pauli_general":
+            ch = pauli_channel(cfg.dim, p)
+        else:
+            ch = symmetric_pauli_channel(cfg.dim, p)
+        if cfg.mode == "ansatz":
+            pauli_column_probs(ch)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return ch

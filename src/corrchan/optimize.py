@@ -6,28 +6,28 @@ Three routes are provided:
                        manifold, restarted from random points plus
                        deterministic seeds (the maximally entangled state
                        and |0,0>).
-* minimize_ansatz    - the same search restricted to the diagonal band
-                       sum_j a_j |j, j>, valid for column-symmetric Pauli
-                       channels where the output of such inputs has a
-                       closed form; it searches 2d real parameters instead
-                       of 2d^2 and is equivalent on that subclass.
+* minimize_ansatz    - the same objective restricted to the diagonal band
+                       sum_j a_j |j, j>; it searches 2d real parameters
+                       instead of 2d^2 and is equivalent on
+                       column-symmetric Pauli channels, the subclass it
+                       accepts (Macchiavello & Palma, PRA 65, 050301, 2002).
 * oracle_sample      - brute-force random sampling, used as an independent
                        upper-bound witness to validate the optimizers.
 
 OptimizerConfig.mode, one of MODES = ("full", "ansatz"), names the search.
 
-minimize_full and oracle_sample apply the channel through
-channels._apply_pure (every Pauli-type channel takes the one Weyl-basis
-kernel), minimize_ansatz through its closed form; all three sum the
-entropy in linalg._spectral_entropy, and the two searches share one
-L-BFGS-B multistart driver. S is a smooth spectral function
-wherever the output has full rank (Lewis, Math. Oper. Res. 21, 1996), with
-dS/d psi* = E^dag(G) psi for G = -log2 E(|psi><psi|) and E^dag the
-CorrelatedChannel.adjoint. Eigenvalues at or below TOL.spectral_floor count
-as zero in S and take a finite weight in G (linalg._entropy_weights).
+All three apply the channel through channels._apply_pure (every Pauli-type
+channel takes the one Weyl-basis kernel) and sum the entropy in
+linalg._spectral_entropy; the two searches share one objective
+(_entropy_and_h) and one L-BFGS-B multistart driver. S is a smooth
+spectral function wherever the output has full rank (Lewis, Math. Oper.
+Res. 21, 1996), with dS/d psi* = E^dag(G) psi for G = -log2 E(|psi><psi|)
+and E^dag the CorrelatedChannel.adjoint. Eigenvalues at or below
+TOL.spectral_floor count as zero in S and take a finite weight in G
+(linalg._entropy_weights).
 
 scipy is imported at the first search (_scipy_minimize), not with this
-module: oracle_sample and the closed forms need numpy alone.
+module: oracle_sample and ansatz_output_matrix need numpy alone.
 """
 
 from __future__ import annotations
@@ -103,13 +103,13 @@ def _output_entropies(ch: CorrelatedChannel, psis: np.ndarray) -> np.ndarray:
     return _spectral_entropy(np.linalg.eigvalsh(_apply_pure(ch, psis)))
 
 
-def _ansatz_parts(column_probs: np.ndarray,
-                  a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Correlated block and independent-errors diagonal of the ansatz output.
+def ansatz_output_matrix(column_probs: np.ndarray, mu: float,
+                         a: np.ndarray) -> np.ndarray:
+    """Closed-form channel output for the diagonal-band input sum_j a_j |j, j>.
 
-    For input sum_j a_j |j, j> through a column-symmetric Pauli channel
-    with column probabilities p (summing to 1/d), the fully correlated
-    part lives in the span of the |l, l> as a dense d x d block
+    For a column-symmetric Pauli channel with column probabilities p
+    (summing to 1/d), the fully correlated part lives in the span of the
+    |l, l> as a dense d x d block
 
         block[x, y] = d * sum_m p_m a[x - m] conj(a[y - m])
 
@@ -119,28 +119,18 @@ def _ansatz_parts(column_probs: np.ndarray,
 
     (all indices mod d). With the circulants A[x, m] = a[x - m] and
     Q[u, i] = d p[u - i] both are single products: block = (A * d p) A^dag
-    and diag = (Q * |a|^2) Q^T.
+    and diag = (Q * |a|^2) Q^T. Returns mu block + (1 - mu) diag: in O(d^3),
+    apply_correlated on the materialised input.
     """
     a = np.asarray(a, dtype=complex)
-    q = a.size * np.asarray(column_probs, dtype=float)
-    shift = np.subtract.outer(np.arange(a.size), np.arange(a.size)) % a.size
+    d = a.size
+    q = d * np.asarray(column_probs, dtype=float)
+    shift = np.subtract.outer(np.arange(d), np.arange(d)) % d
     amat, qmat = a[shift], q[shift]
-    return (amat * q) @ amat.conj().T, (qmat * np.abs(a) ** 2) @ qmat.T
-
-
-def ansatz_output_matrix(column_probs: np.ndarray, mu: float,
-                         a: np.ndarray) -> np.ndarray:
-    """Closed-form channel output for the diagonal-band input sum_j a_j |j, j>.
-
-    Combines the two parts of _ansatz_parts with weights mu and 1 - mu
-    into the full d^2 x d^2 output density matrix. Algebraically identical
-    to apply_correlated on the materialised input, but O(d^3).
-    """
-    block, diag = _ansatz_parts(column_probs, a)
-    d = block.shape[0]
+    diag = (qmat * np.abs(a) ** 2) @ qmat.T
     out = np.diag((1.0 - mu) * diag.reshape(-1)).astype(complex)
-    idx = np.arange(d) * (d + 1)
-    out[np.ix_(idx, idx)] += mu * block
+    band = np.arange(d) * (d + 1)
+    out[np.ix_(band, band)] += mu * (amat * q) @ amat.conj().T
     return out
 
 
@@ -157,41 +147,38 @@ def _on_sphere(value_and_h: Callable) -> Callable:
     return func
 
 
-def _full_objective(ch: CorrelatedChannel) -> Callable:
-    """x -> (S, grad S) for the pure input with interleaved re/im parts x."""
+def _entropy_and_h(ch: CorrelatedChannel) -> Callable:
+    """psi -> (S, dS/dpsi* = E^dag(G) psi) for a unit pure input psi (D,)."""
     adjoint = ch.adjoint
 
     def value_and_h(psi: np.ndarray) -> tuple[float, np.ndarray]:
         w, u = np.linalg.eigh(_apply_pure(ch, psi))
         g = (u * _entropy_weights(w)) @ u.conj().T
         return float(_spectral_entropy(w)), apply_correlated(adjoint, g) @ psi
-    return _on_sphere(value_and_h)
+    return value_and_h
 
 
-def _ansatz_objective(p: np.ndarray, mu: float) -> Callable:
+def _full_objective(ch: CorrelatedChannel) -> Callable:
+    """x -> (S, grad S) for the pure input with interleaved re/im parts x."""
+    return _on_sphere(_entropy_and_h(ch))
+
+
+def _ansatz_objective(ch: CorrelatedChannel) -> Callable:
     """x -> (S, grad S) for the band input sum_j a_j |j, j> (see _on_sphere).
 
-    The output is the band block plus diagonal entries (_ansatz_parts), and
-    so is G = -log2 of it: a block G_b and entries K[u, v] off the band,
-    with K[j, j] = G_b[j, j]. Then dS/da_k* = mu sum_m (G_b A q)[m + k, m]
-    + (1 - mu) a_k (Q^T K Q)[k, k].
+    The full objective at the input with a_j at index j (d + 1) and zeros
+    elsewhere; that embedding is linear with 0/1 entries, so dS/da* is
+    dS/dpsi* at those indices, exactly.
     """
-    d = p.size
-    shift = np.subtract.outer(np.arange(d), np.arange(d)) % d
-    lag = np.add.outer(np.arange(d), np.arange(d)) % d  # lag[k, m] = m + k
-    q, qmat = d * p, d * p[shift]
+    d = ch.base.dim
+    band = np.arange(d) * (d + 1)
+    full = _entropy_and_h(ch)
 
     def value_and_h(a: np.ndarray) -> tuple[float, np.ndarray]:
-        block, diag = _ansatz_parts(p, a)
-        diag *= 1.0 - mu
-        w, u = np.linalg.eigh(mu * block + np.diag(np.diag(diag)))
-        g_band = (u * _entropy_weights(w)) @ u.conj().T
-        k = _entropy_weights(diag)
-        np.fill_diagonal(k, g_band.diagonal().real)
-        h = (mu * (g_band @ a[shift] * q)[lag, np.arange(d)].sum(1)
-             + (1.0 - mu) * a * np.einsum("ui,uv,vi->i", qmat, k, qmat))
-        spectrum = np.concatenate([w, diag[~np.eye(d, dtype=bool)]])
-        return float(_spectral_entropy(spectrum)), h
+        psi = np.zeros(d * d, dtype=complex)
+        psi[band] = a
+        s, h = full(psi)
+        return s, h[band]
     return _on_sphere(value_and_h)
 
 
@@ -265,25 +252,24 @@ def minimize_full(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResu
 
 
 def minimize_ansatz(ch: CorrelatedChannel, cfg: OptimizerConfig) -> MinEntropyResult:
-    """Multi-start L-BFGS-B search over diagonal-band inputs using the
-    closed-form output (_ansatz_objective).
+    """Multi-start L-BFGS-B search over diagonal-band inputs: the full
+    objective restricted to the band (_ansatz_objective).
 
-    Only valid for column-symmetric Pauli channels; raises otherwise.
+    Equivalent to the full search only on column-symmetric Pauli channels
+    (pauli_column_probs); raises on any other.
     """
     if cfg.mode != "ansatz":
         raise ValueError("minimize_ansatz requires mode='ansatz'")
-    p = pauli_column_probs(ch.base)
+    pauli_column_probs(ch.base)
     d = ch.base.dim
 
     def decode(x: np.ndarray) -> np.ndarray:
         return ansatz_state(SymmetricAnsatz(d=d, a=from_params(x, d)))
 
-    e0 = np.zeros(d)
-    e0[0] = 1.0
     rng = np.random.default_rng(cfg.seed)
-    starts = [params_of(np.full(d, 1.0 / np.sqrt(d))), params_of(e0)]
+    starts = [params_of(np.full(d, 1.0 / np.sqrt(d))), params_of(np.eye(d)[0])]
     starts += [rng.standard_normal(2 * d) for _ in range(cfg.resolved_restarts())]
-    return _multistart(_ansatz_objective(p, ch.mu), starts, decode, d, cfg)
+    return _multistart(_ansatz_objective(ch), starts, decode, d, cfg)
 
 
 def oracle_sample(ch: CorrelatedChannel, n_samples: int,

@@ -122,6 +122,41 @@ class TestCovarianceAndSchur:
         rho = np.eye(4) / 4
         assert verify_schur_average(ch, rho, pauli_operator_set(2)) <= 1e-12
 
+    def test_haar_channel_residuals_match_pairwise_loop(self, rng):
+        # a Haar-operator channel is not covariant, so every pair W must meet
+        # its own output for the stacked residuals to equal the loop's
+        ops = np.stack([np.eye(3), haar_random_unitary(3, rng),
+                        haar_random_unitary(3, rng)])
+        ch = CorrelatedChannel(base=KrausChannel(dim=3, ops=ops,
+                                                 probs=[0.5, 0.3, 0.2]), mu=0.35)
+        rho = random_density_matrix(9, rng)
+        pauli = pauli_operator_set(3)
+        out = apply_correlated(ch, rho)
+        cov, acc = 0.0, np.zeros((9, 9), dtype=complex)
+        for ua in pauli.ops.reshape(9, 3, 3):
+            for ub in pauli.ops.reshape(9, 3, 3):
+                w = np.kron(ua, ub.conj())
+                lhs = apply_correlated(ch, w @ rho @ w.conj().T)
+                cov = max(cov, np.abs(lhs - w @ out @ w.conj().T).max())
+                acc += lhs / 81
+        schur = np.abs(acc - np.eye(9) / 9).max()
+        assert verify_covariance(ch, rho, pauli) > 1e-3
+        assert abs(verify_covariance(ch, rho, pauli) - cov) <= 1e-12
+        assert abs(verify_schur_average(ch, rho, pauli) - schur) <= 1e-12
+
+    @pytest.mark.parametrize("verify,calls", [(verify_covariance, 2),
+                                              (verify_schur_average, 1)])
+    def test_one_stacked_channel_call(self, verify, calls, monkeypatch):
+        seen = []
+
+        def counting(ch, rho):
+            seen.append(np.shape(rho))
+            return apply_correlated(ch, rho)
+        monkeypatch.setattr(analysis, "apply_correlated", counting)
+        ch = CorrelatedChannel(base=QUTRIT, mu=0.31)
+        assert verify(ch, np.eye(9) / 9, pauli_operator_set(3)) <= 1e-12
+        assert len(seen) == calls and seen[0] == (81, 9, 9)
+
 
 class TestAnalyticEstimates:
     def test_full_correlation_endpoint(self):

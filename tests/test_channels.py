@@ -115,6 +115,16 @@ class TestApplyPhi:
         with pytest.raises(ValueError, match="dimension"):
             apply_phi(ch, np.eye(3) / 3)
 
+    def test_takes_a_stack_of_inputs_only(self):
+        ch = qubit_ixz_channel(0.3, 0.2, 0.5)
+        rhos = np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2])
+        for rho, out in zip(rhos, apply_phi(ch, rhos)):
+            assert np.abs(out - apply_phi(ch, rho)).max() < 1e-15
+        corr = CorrelatedChannel(base=ch, mu=0.4)
+        for bad in (np.eye(4)[None, None], np.eye(4)[0]):
+            with pytest.raises(ValueError, match="dimension"):
+                apply_correlated(corr, bad)
+
 
 class TestApplyPhiC:
     def test_fixes_max_entangled_for_random_kraus_sets(self, rng):
@@ -178,6 +188,13 @@ class TestApplyCorrelated:
         base = qubit_ixz_channel(0.3, 0.2, 0.5)
         with pytest.raises(ValueError, match="mu"):
             CorrelatedChannel(base=base, mu=1.5)
+
+    @pytest.mark.parametrize("mu", [float("nan"), -0.1, 1.5])
+    def test_one_mu_rule_for_both_callers(self, mu):
+        for call in (lambda: CorrelatedChannel(base=identity_channel(), mu=mu),
+                     lambda: analytic_estimates(3, QUTRIT_COLS, mu)):
+            with pytest.raises(ValueError, match=r"^mu must lie in \[0, 1\]$"):
+                call()
 
     def test_trace_preservation_and_positivity(self, rng):
         base = qubit_ixz_channel(0.3, 0.2, 0.5)
@@ -271,11 +288,18 @@ def weyl_channels_and_inputs(draw):
 
 
 def assert_matches_kraus_sum(ch, rho, states):
-    """Dense, single pure and stacked pure outputs against the Kraus sum."""
+    """Dense, single pure and stacked pure outputs, and a (B, D, D) stack of
+    the dense input and the projectors, against the Kraus sum."""
     out = apply_correlated(ch, rho)
     assert np.abs(out - brute_force_correlated(ch, rho)).max() < 1e-12
     assert np.abs(out - out.conj().T).max() < 1e-12
     assert abs(np.trace(out) - 1.0) < 1e-12
+    rhos = np.concatenate([rho[None],
+                           states[:, :, None] * states[:, None, :].conj()])
+    outs = apply_correlated(ch, rhos)
+    assert outs.shape == rhos.shape
+    for r, got in zip(rhos, outs):
+        assert np.abs(got - brute_force_correlated(ch, r)).max() < 1e-12
     stacked = _apply_pure(ch, states)
     for psi, got in zip(states, stacked):
         want = brute_force_correlated(ch, np.outer(psi, psi.conj()))

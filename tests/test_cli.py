@@ -125,13 +125,14 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(path)]) == 2
         assert "mode must be one of" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["sweep", "check"])
+    @pytest.mark.parametrize("command", ["sweep", "check", "validate"])
     @pytest.mark.parametrize("setting", [
         {"restarts": 0}, {"ftol": 0}, {"ftol": "nan"}, {"max_iters": 0},
         {"probs": "nan,0.5,0.5"},
         {"dim": 3, "channel": "pauli_symmetric", "probs": "nan,0.1,0.1"},
+        {"mode": "ansatz"},  # the band search needs a column-symmetric channel
     ], ids=["restarts=0", "ftol=0", "ftol=nan", "max_iters=0", "qubit-nan",
-            "qutrit-nan"])
+            "qutrit-nan", "ansatz-qubit_ixz"])
     def test_invalid_setting(self, tmp_path, capsys, command, setting):
         path = write_cfg(tmp_path, **setting)
         assert main([command, "--config", str(path)]) == 2

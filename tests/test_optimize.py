@@ -69,7 +69,7 @@ class TestGradient:
     def test_ansatz_gradient(self, drawn):
         ch, rng = drawn
         d = ch.base.dim
-        func = _ansatz_objective(pauli_column_probs(ch.base), ch.mu)
+        func = _ansatz_objective(ch)
         x = rng.standard_normal(2 * d)
         psi = ansatz_state(SymmetricAnsatz(d=d, a=from_params(x, d)))
         assert abs(func(x)[0] - objective(ch, psi)) < 1e-12
@@ -82,7 +82,7 @@ class TestGradient:
         ch = CorrelatedChannel(base=symmetric_pauli_channel(d, p), mu=1.0)
         uniform = np.full(d, 1.0 / np.sqrt(d))
         for func, x in ((_full_objective(ch), params_of(max_entangled(d))),
-                        (_ansatz_objective(p, 1.0), params_of(uniform))):
+                        (_ansatz_objective(ch), params_of(uniform))):
             entropy, grad = func(x)
             assert entropy == 0.0
             assert np.all(np.isfinite(grad)) and np.abs(grad).max() < 1e-8
