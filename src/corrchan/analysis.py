@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (CorrelatedChannel, KrausChannel, PauliOperatorSet,
-                       _check_column_probs, _check_mu, apply_correlated)
+                       _check_column_probs, _check_mu, _stack_len,
+                       apply_correlated)
 from .optimize import (MinEntropyResult, OptimizerConfig, _output_entropies,
                        minimize_ansatz, minimize_full)
 from .states import max_entangled
@@ -194,14 +195,18 @@ def mutual_information_i2(ch: CorrelatedChannel, s_min_bits: float) -> float:
     return float(cap - s_min_bits)
 
 
-def _twirl(ch: CorrelatedChannel, rho: np.ndarray,
-           pauli: PauliOperatorSet) -> tuple[np.ndarray, np.ndarray]:
-    """The d^4 conjugators W = U_a x conj(U_b), stacked in row-major (a, b)
-    order, and E(W rho W^dag) for each, from one stacked channel call."""
+def _twirl(ch: CorrelatedChannel, rho: np.ndarray, pauli: PauliOperatorSet):
+    """Yield the d^4 conjugators W = U_a x conj(U_b), in row-major (a, b)
+    order, and E(W rho W^dag) for each, in chunks over a: one stacked
+    channel call per chunk, each stack within channels._STACK_BYTES (a
+    single chunk for d <= 4)."""
     d = pauli.dim
     flat = pauli.ops.reshape(d * d, d, d)
-    w = np.einsum("aij,bkl->abikjl", flat, flat.conj()).reshape(-1, d * d, d * d)
-    return w, apply_correlated(ch, w @ rho @ w.conj().swapaxes(1, 2))
+    step = max(1, _stack_len(d * d) // (d * d))
+    for a in range(0, d * d, step):
+        w = np.einsum("aij,bkl->abikjl", flat[a:a + step],
+                      flat.conj()).reshape(-1, d * d, d * d)
+        yield w, apply_correlated(ch, w @ rho @ w.conj().swapaxes(1, 2))
 
 
 def verify_covariance(ch: CorrelatedChannel, rho: np.ndarray,
@@ -212,9 +217,12 @@ def verify_covariance(ch: CorrelatedChannel, rho: np.ndarray,
     the shift-and-phase set modulo phases, which holds for every Pauli-word
     channel.
     """
-    w, lhs = _twirl(ch, rho, pauli)
-    rhs = w @ apply_correlated(ch, rho) @ w.conj().swapaxes(1, 2)
-    return float(np.abs(lhs - rhs).max())
+    residuals, e_rho = [], None
+    for w, lhs in _twirl(ch, rho, pauli):
+        if e_rho is None:
+            e_rho = apply_correlated(ch, rho)
+        residuals.append(np.abs(lhs - w @ e_rho @ w.conj().swapaxes(1, 2)).max())
+    return float(np.max(residuals))
 
 
 def verify_schur_average(ch: CorrelatedChannel, rho: np.ndarray,
@@ -226,9 +234,9 @@ def verify_schur_average(ch: CorrelatedChannel, rho: np.ndarray,
     this is the irreducibility property that makes the capacity bound
     attainable.
     """
-    _, out = _twirl(ch, rho, pauli)
-    big_d = out.shape[-1]
-    return float(np.abs(out.mean(axis=0) - np.eye(big_d) / big_d).max())
+    total = sum(out.sum(axis=0) for _, out in _twirl(ch, rho, pauli))
+    big_d = total.shape[-1]
+    return float(np.abs(total / big_d ** 2 - np.eye(big_d) / big_d).max())
 
 
 def _correlation_matrix(p: np.ndarray) -> np.ndarray:

@@ -39,6 +39,11 @@ import numpy as np
 
 from .linalg import TOL
 
+# bytes of one complex (B, D, D) stack that the batch callers (oracle_sample,
+# the twirl checks) pass to _apply; the kernel's temporaries scale with it,
+# so it bounds their memory at any d and keeps them in cache
+_STACK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
@@ -245,6 +250,11 @@ def _apply_pure(ch: CorrelatedChannel, psi: np.ndarray) -> np.ndarray:
     """Unchecked E(|psi><psi|) for one input (D,) or a stack of inputs (B, D);
     returns (D, D) or (B, D, D)."""
     return _apply(ch, psi[..., :, None] * psi[..., None, :].conj())
+
+
+def _stack_len(big_d: int) -> int:
+    """Inputs (D, D) per stack within _STACK_BYTES, and at least one."""
+    return max(1, _STACK_BYTES // (16 * big_d * big_d))
 
 
 def apply_correlated_pure(ch: CorrelatedChannel, psi: np.ndarray) -> np.ndarray:

@@ -12,7 +12,11 @@ Three routes are provided:
                        column-symmetric Pauli channels, the subclass it
                        accepts (Macchiavello & Palma, PRA 65, 050301, 2002).
 * oracle_sample      - brute-force random sampling, used as an independent
-                       upper-bound witness to validate the optimizers.
+                       upper-bound witness to validate the optimizers. It
+                       evaluates its draws in slices of bounded memory and
+                       skips the eigensolve of any sample whose Renyi-2
+                       entropy rules it out (_output_entropies); the
+                       result is that of eigensolving every sample.
 
 OptimizerConfig.mode, one of MODES = ("full", "ansatz"), names the search.
 
@@ -37,8 +41,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import (CorrelatedChannel, _apply_pure, apply_correlated,
-                       apply_correlated_pure, pauli_column_probs)
+from .channels import (CorrelatedChannel, _apply_pure, _stack_len,
+                       apply_correlated, apply_correlated_pure,
+                       pauli_column_probs)
 from .linalg import _entropy_weights, _spectral_entropy, entropy_of_spectrum
 from .states import (SymmetricAnsatz, ansatz_state, basis_separable,
                      entanglement_of, from_params, max_entangled, params_of)
@@ -46,6 +51,12 @@ from .states import (SymmetricAnsatz, ansatz_state, basis_separable,
 MODES = ("full", "ansatz")
 GTOL = 1e-10  # L-BFGS-B projected-gradient tolerance
 ENTANGLEMENT_TIE = 1e-9  # bits; end points this close in entanglement tie
+# bits; _output_entropies skips the eigensolve of an output whose Renyi-2
+# entropy exceeds its bound by more than this. S >= S_2 holds exactly; the
+# margin absorbs the rounding of both and the spectral floor, which moves S
+# by less than 5e-13 bits per dropped eigenvalue, at most D of them.
+_SCREEN_MARGIN = 1e-9
+_DRAW_BLOCK = 4096  # oracle states per draw; fixes the result of (n, seed)
 
 
 @dataclass(frozen=True)
@@ -97,10 +108,26 @@ def objective(ch: CorrelatedChannel, psi: np.ndarray) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(rho))
 
 
-def _output_entropies(ch: CorrelatedChannel, psis: np.ndarray) -> np.ndarray:
+def _output_entropies(ch: CorrelatedChannel, psis: np.ndarray,
+                      bound: float = np.inf) -> np.ndarray:
     """Unchecked output entropies in bits of pure inputs (B, D), stacked: for
-    oracle_sample's batches and analysis's basin curves."""
-    return _spectral_entropy(np.linalg.eigvalsh(_apply_pure(ch, psis)))
+    oracle_sample's slices and analysis's basin curves.
+
+    Given a finite bound, an output rho whose Renyi-2 entropy
+    S_2 = -log2 tr rho^2 (at unit trace) exceeds bound + _SCREEN_MARGIN
+    gets +inf without an eigensolve: Renyi entropies do not increase with
+    their order, so its S >= S_2 lies above bound. The others get S,
+    exactly as without a bound.
+    """
+    out = _apply_pure(ch, psis)
+    keep = slice(None)
+    if bound < np.inf:
+        trace = np.einsum("bii->b", out).real
+        renyi2 = -np.log2(np.einsum("bij,bji->b", out, out).real / trace ** 2)
+        keep = ~(renyi2 > bound + _SCREEN_MARGIN)  # a NaN output stays NaN
+    ent = np.full(len(out), np.inf)
+    ent[keep] = _spectral_entropy(np.linalg.eigvalsh(out[keep]))
+    return ent
 
 
 def ansatz_output_matrix(column_probs: np.ndarray, mu: float,
@@ -277,9 +304,17 @@ def oracle_sample(ch: CorrelatedChannel, n_samples: int,
     """Brute-force upper-bound witness: best of n_samples random pure states.
 
     Samples are normalised complex Gaussian vectors (uniform on the pure
-    state sphere). The maximally entangled state and every computational
-    product state are always evaluated as deterministic seeds, so the
-    result is never worse than the better of the two competing extremes.
+    state sphere), drawn _DRAW_BLOCK at a time. The maximally entangled
+    state and every computational product state are always evaluated as
+    deterministic seeds, so the result is never worse than the better of
+    the two competing extremes. Each block is evaluated in slices of a
+    power-of-two count of states, at most channels._STACK_BYTES of output,
+    and the first least entropy of a slice replaces the best so far only
+    when strictly lower. A sample whose Renyi-2 entropy rules it out is
+    never eigensolved (_output_entropies). Neither changes the result: it
+    is the first least entropy over all states, as with whole blocks.
+    iterations_used counts the states evaluated, seeds included, not the
+    eigensolves.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
@@ -287,24 +322,27 @@ def oracle_sample(ch: CorrelatedChannel, n_samples: int,
     big_d = d * d
     seeds = [max_entangled(d)]
     seeds += [basis_separable(d, i, j) for i in range(d) for j in range(d)]
-
-    batch = np.stack(seeds)
-    ent = _output_entropies(ch, batch)
-    i = int(np.argmin(ent))
-    best_entropy, best_state = float(ent[i]), batch[i]
-
     rng = np.random.default_rng(seed)
-    remaining = n_samples
-    chunk = 4096
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
-        batch = rng.standard_normal((m, big_d)) + 1j * rng.standard_normal((m, big_d))
-        batch /= np.linalg.norm(batch, axis=1)[:, None]
-        ent = _output_entropies(ch, batch)
-        i = int(np.argmin(ent))
-        if ent[i] < best_entropy:
-            best_entropy, best_state = float(ent[i]), batch[i]
+
+    def blocks():
+        yield np.stack(seeds)
+        for start in range(0, n_samples, _DRAW_BLOCK):
+            m = min(_DRAW_BLOCK, n_samples - start)
+            batch = rng.standard_normal((m, big_d)) + 1j * rng.standard_normal((m, big_d))
+            batch /= np.linalg.norm(batch, axis=1)[:, None]
+            yield batch
+
+    best_entropy, best_state = np.inf, None
+    # a power of two, so slices keep the column alignment of a whole block:
+    # a BLAS kernel may round a column by its place in a register block
+    step = 1 << (_stack_len(big_d).bit_length() - 1)
+    for batch in blocks():
+        for start in range(0, len(batch), step):
+            part = batch[start:start + step]
+            ent = _output_entropies(ch, part, best_entropy)
+            i = int(np.argmin(ent))
+            if ent[i] < best_entropy:
+                best_entropy, best_state = float(ent[i]), part[i].copy()
 
     return MinEntropyResult(entropy_bits=best_entropy, state=best_state,
                             entanglement_bits=entanglement_of(best_state, d),

@@ -6,13 +6,14 @@ from conftest import (pauli_channels_at_mu, random_density_matrix,
                       symmetric_column_probs)
 from corrchan import (CorrelatedChannel, KrausChannel, OptimizerConfig,
                       SweepResult,
-                      analysis, analytic_estimates, apply_correlated,
+                      analysis, analytic_estimates, apply_correlated, channels,
                       check_theorem, detect_transition, estimate_mu_c_crossing,
                       fidelity_pure, haar_random_unitary, linear_entropy,
                       max_entangled, minimize_ansatz, minimize_full,
-                      mutual_information_i2, objective, pauli_operator_set,
-                      qubit_ixz_channel, sweep, symmetric_pauli_channel,
-                      verify_covariance, verify_schur_average)
+                      mutual_information_i2, objective, pauli_channel,
+                      pauli_operator_set, qubit_ixz_channel, sweep,
+                      symmetric_pauli_channel, verify_covariance,
+                      verify_schur_average)
 from corrchan.analysis import SweepEntry, _basin_entropies, _basin_inputs
 from corrchan.states import basis_separable, entanglement_of, random_pure_state
 
@@ -156,6 +157,48 @@ class TestCovarianceAndSchur:
         ch = CorrelatedChannel(base=QUTRIT, mu=0.31)
         assert verify(ch, np.eye(9) / 9, pauli_operator_set(3)) <= 1e-12
         assert len(seen) == calls and seen[0] == (81, 9, 9)
+
+    def test_chunks_match_one_stack(self, rng, monkeypatch):
+        # a Haar-operator channel is not covariant, so every chunk must meet
+        # its own conjugators for the residuals to stay those of one stack
+        ops = np.stack([np.eye(3), haar_random_unitary(3, rng),
+                        haar_random_unitary(3, rng)])
+        ch = CorrelatedChannel(base=KrausChannel(dim=3, ops=ops,
+                                                 probs=[0.5, 0.3, 0.2]), mu=0.35)
+        rho = random_density_matrix(9, rng)
+        pauli = pauli_operator_set(3)
+        cov = verify_covariance(ch, rho, pauli)
+        schur = verify_schur_average(ch, rho, pauli)
+        seen = []
+
+        def counting(ch, rho):
+            seen.append(np.shape(rho))
+            return apply_correlated(ch, rho)
+        monkeypatch.setattr(analysis, "apply_correlated", counting)
+        # two values of a per chunk: chunks of 18, 18, 18, 18 and 9
+        monkeypatch.setattr(channels, "_STACK_BYTES", 18 * 81 * 16)
+        assert abs(verify_covariance(ch, rho, pauli) - cov) <= 1e-15
+        assert abs(verify_schur_average(ch, rho, pauli) - schur) <= 1e-15
+        assert cov > 1e-3
+        stacks = [shape[0] for shape in seen if len(shape) == 3]
+        assert stacks == 2 * [18, 18, 18, 18, 9]
+
+    def test_d6_stacks_stay_within_the_byte_budget(self, rng, monkeypatch):
+        seen = []
+
+        def counting(ch, rho):
+            seen.append(np.shape(rho))
+            return apply_correlated(ch, rho)
+        monkeypatch.setattr(analysis, "apply_correlated", counting)
+        w = np.arange(1.0, 37.0)
+        ch = CorrelatedChannel(base=pauli_channel(6, w / w.sum()), mu=0.4)
+        psi = random_pure_state(36, rng)
+        rho = np.outer(psi, psi.conj())
+        assert verify_covariance(ch, rho, pauli_operator_set(6)) <= 1e-12
+        assert verify_schur_average(ch, rho, pauli_operator_set(6)) <= 1e-12
+        stacks = [shape[0] for shape in seen if len(shape) == 3]
+        assert len(stacks) > 2 and sum(stacks) == 2 * 6 ** 4
+        assert max(stacks) * 16 * 36 ** 2 <= channels._STACK_BYTES
 
 
 class TestAnalyticEstimates:

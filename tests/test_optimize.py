@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pauli_channels_at_mu
 from corrchan import (CorrelatedChannel, KrausChannel, MinEntropyResult,
                       OptimizerConfig, ansatz_output_matrix, apply_correlated,
-                      apply_phi, minimize_ansatz, minimize_full, objective,
-                      optimize, oracle_sample, pauli_column_probs,
-                      qubit_ixz_channel, symmetric_pauli_channel,
-                      von_neumann_entropy)
-from corrchan.optimize import _ansatz_objective, _full_objective
+                      apply_correlated_pure, apply_phi, channels,
+                      haar_random_unitary, minimize_ansatz, minimize_full,
+                      objective, optimize, oracle_sample, pauli_channel,
+                      pauli_column_probs, qubit_ixz_channel,
+                      symmetric_pauli_channel, von_neumann_entropy)
+from corrchan.channels import _apply_pure
+from corrchan.optimize import (_ansatz_objective, _full_objective,
+                               _output_entropies)
 from corrchan.states import (SymmetricAnsatz, ansatz_state, basis_separable,
                              from_params, max_entangled, params_of)
 
@@ -17,6 +21,11 @@ QUBIT = qubit_ixz_channel(0.3, 0.2, 0.5)
 QUTRIT_COLS = np.array([0.08, 0.18, 0.0733])
 QUTRIT_COLS = QUTRIT_COLS / (3 * QUTRIT_COLS.sum())
 QUTRIT = symmetric_pauli_channel(3, QUTRIT_COLS)
+
+WITNESS = qubit_ixz_channel(0.0, 0.4, 0.6)
+HAAR = KrausChannel(dim=3, ops=np.stack(
+    [np.eye(3)] + [haar_random_unitary(3, np.random.default_rng(k))
+                   for k in (1, 2)]), probs=[0.5, 0.3, 0.2])
 
 FAST_FULL = OptimizerConfig(restarts=6, seed=11, mode="full")
 FAST_ANSATZ = OptimizerConfig(restarts=6, seed=11, mode="ansatz")
@@ -275,6 +284,121 @@ class TestOracleSample:
         ch = CorrelatedChannel(base=QUBIT, mu=0.3)
         with pytest.raises(ValueError, match="1000"):
             oracle_sample(ch, 10, seed=1)
+
+
+def unscreened_oracle(ch, n_samples, seed):
+    """oracle_sample without the screen or the slices: every state of each
+    4096-state draw eigensolved at once, and the block's first least
+    entropy taken when strictly lower."""
+    d = ch.base.dim
+    batch = np.stack([max_entangled(d)] + [basis_separable(d, i, j)
+                                           for i in range(d) for j in range(d)])
+    ent = _output_entropies(ch, batch)
+    best, state = ent.min(), batch[np.argmin(ent)]
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_samples, 4096):
+        m = min(4096, n_samples - start)
+        batch = (rng.standard_normal((m, d * d))
+                 + 1j * rng.standard_normal((m, d * d)))
+        batch /= np.linalg.norm(batch, axis=1)[:, None]
+        ent = _output_entropies(ch, batch)
+        if ent.min() < best:
+            best, state = ent.min(), batch[np.argmin(ent)]
+    return float(best), state
+
+
+@st.composite
+def oracle_channels(draw):
+    """A random Pauli channel (general or column-symmetric), the qubit
+    I/X/Z preset, the witness channel or a Haar-operator channel, at mu 0,
+    1 or drawn."""
+    kind = draw(st.sampled_from(["general", "symmetric", "ixz", "witness",
+                                 "haar"]))
+    if kind in ("general", "symmetric"):
+        base = draw(pauli_channels_at_mu(symmetric=kind == "symmetric"))[0].base
+    else:
+        base = {"ixz": QUBIT, "witness": WITNESS, "haar": HAAR}[kind]
+    mu = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return CorrelatedChannel(base=base, mu=mu)
+
+
+class TestOracleScreen:
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_channels(), st.sampled_from([1000, 5000]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_unscreened_search(self, ch, n_samples, seed):
+        res = oracle_sample(ch, n_samples, seed)
+        entropy, state = unscreened_oracle(ch, n_samples, seed)
+        assert np.array_equal(res.state, state)
+        assert res.entropy_bits == entropy
+        assert res.iterations_used == n_samples + 1 + ch.base.dim ** 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(pauli_channels_at_mu(symmetric=False), st.floats(0.0, 4.0))
+    def test_renyi2_bound(self, drawn, bound):
+        ch, rng = drawn
+        d = ch.base.dim
+        psis = rng.standard_normal((64, d * d)) + 1j * rng.standard_normal((64, d * d))
+        psis /= np.linalg.norm(psis, axis=1)[:, None]
+        ent = _output_entropies(ch, psis)
+        renyi2 = np.array([-np.log2(np.trace(rho @ rho).real) for rho in
+                           (apply_correlated_pure(ch, psi) for psi in psis)])
+        assert np.all(ent >= renyi2 - 1e-12)
+        # screened entries are +inf and lie above the bound, the rest exact;
+        # the least S among those nearest their S_2 is the tightest bound
+        tight = ent[np.argsort(ent - renyi2)[:8]].min()
+        for b in (bound, tight):
+            screened = _output_entropies(ch, psis, b)
+            kept = np.isfinite(screened)
+            assert np.array_equal(screened[kept], ent[kept])
+            assert np.all(ent[~kept] > b)
+
+    def test_slices_match_whole_blocks(self, monkeypatch):
+        # every entropy, screen aside, equals that of the whole 4096-state draw
+        ch = CorrelatedChannel(base=pauli_channel(3, np.arange(1.0, 10.0) / 45),
+                               mu=0.41)
+        sliced = []
+
+        def unscreened(ch, psis, bound):
+            sliced.append(_output_entropies(ch, psis))
+            return sliced[-1]
+        monkeypatch.setattr(optimize, "_output_entropies", unscreened)
+        oracle_sample(ch, 5000, seed=8)
+        rng = np.random.default_rng(8)
+        whole = []
+        for m in (4096, 904):
+            batch = rng.standard_normal((m, 9)) + 1j * rng.standard_normal((m, 9))
+            batch /= np.linalg.norm(batch, axis=1)[:, None]
+            whole.append(_output_entropies(ch, batch))
+        assert np.array_equal(np.concatenate(sliced[1:]), np.concatenate(whole))
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_stacks_stay_within_the_byte_budget(self, d, monkeypatch):
+        sizes = []
+
+        def recording(ch, psi):
+            sizes.append(psi.shape[0])
+            return _apply_pure(ch, psi)
+        monkeypatch.setattr(optimize, "_apply_pure", recording)
+        w = np.arange(1.0, d * d + 1)
+        ch = CorrelatedChannel(base=pauli_channel(d, w / w.sum()), mu=0.4)
+        oracle_sample(ch, 5000, seed=3)
+        assert sum(sizes) == 5000 + 1 + d * d
+        assert max(sizes) * 16 * d ** 4 <= channels._STACK_BYTES
+
+    def test_few_samples_reach_the_eigensolver(self, monkeypatch):
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            solved.append(len(a))
+            return eigvalsh(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        res = oracle_sample(CorrelatedChannel(base=QUTRIT, mu=0.78), 8192, seed=5)
+        monkeypatch.undo()
+        assert sum(solved) < 0.01 * 8192
+        assert res.entropy_bits == unscreened_oracle(
+            CorrelatedChannel(base=QUTRIT, mu=0.78), 8192, 5)[0]
 
 
 class TestOptimizerConfig:
